@@ -31,6 +31,24 @@ EXIT_CONFIG = 2
 EXIT_GEOMETRY = 3
 EXIT_INTERNAL = 4
 
+#: Every key a config file may hold; a nested dict is a section. A key the
+#: code does not read is rejected rather than silently ignored.
+_CONFIG_KEYS = {
+    "scenario": dict.fromkeys(
+        ("f_hz", "p_tx_dbm", "g_bs_db", "g_ue_db", "nf_db", "t_k", "b_hz",
+         "p_bs_m", "t_s_s", "l_samples", "reflection_phases_deg")),
+    "layout": dict.fromkeys(("cell_size_m", "tile_offsets_m",
+                             "cell_spacing_m")),
+    "grid": dict.fromkeys(("az_deg", "el_deg", "r_m")),
+    "experiment": {
+        "runs": None, "seed_base": None, "variants": None,
+        "truth_v_mps": None,
+        "line": dict.fromkeys(("x_points_m", "y_m", "z_m")),
+        "aoi": dict.fromkeys(("x_min_m", "x_max_m", "y_min_m", "y_max_m",
+                              "step_m", "z_m")),
+    },
+}
+
 
 def load_config(path):
     """Load and minimally validate a YAML config file."""
@@ -43,7 +61,20 @@ def load_config(path):
         raise ConfigError(f"malformed config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
+    _check_keys(cfg, _CONFIG_KEYS, "")
     return cfg
+
+
+def _check_keys(section, known, prefix):
+    for key, value in section.items():
+        name = f"{prefix}{key}"
+        if key not in known:
+            raise ConfigError(f"unknown config key: {name}")
+        if known[key] is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {name} must be a "
+                                  "mapping")
+            _check_keys(value, known[key], f"{name}.")
 
 
 def config_hash(cfg):
@@ -269,11 +300,12 @@ def build_parser():
         p.add_argument("--variant", action="append", default=None,
                        choices=sorted(VARIANTS))
         p.add_argument("--noiseless", action="store_true")
-        p.add_argument("--no-antenna-pattern", action="store_true")
         p.add_argument("--threads", type=int, default=1)
 
     p_single = sub.add_parser("single", help="one snapshot + estimate")
     common(p_single)
+    # Sweeps take pattern-free data per variant (noap) instead.
+    p_single.add_argument("--no-antenna-pattern", action="store_true")
     p_single.add_argument("--truth-p", type=float, nargs=3, required=True,
                           metavar=("X", "Y", "Z"))
     p_single.add_argument("--truth-v", type=float, nargs=3, default=None,

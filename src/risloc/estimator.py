@@ -7,9 +7,10 @@ alpha is eliminated by projecting the snapshot onto the orthogonal
 complement of h, leaving the projection residual as the cost surface.
 
 The pipeline has three steps: a 3D near-field grid search over azimuth,
-elevation and range (optionally refined on a finer grid), an alternating
-linearized least-squares refinement of position and velocity, and a final
-6D gradient descent.
+elevation and range (optionally refined on a finer grid), a few rounds of
+alternating linearized least-squares refinement of position and velocity
+as a warm start, and a final joint 6D variable-projection
+Levenberg-Marquardt solve.
 
 Grid-search steering matrices are cached per (grid, layout) pair, and the
 batch API scores many snapshots against one cached matrix in a single
@@ -34,6 +35,20 @@ _SINGLE_PRECISION_THRESHOLD = 4_000_000
 _CHUNK_ROWS = 16384
 
 _CACHE_BYTES_LIMIT = 2_400_000_000
+
+#: CF rounds before the 6D solve; README "Why CF runs only 3 rounds".
+CF_MAX_ITER = 3
+
+#: Smallest/largest singular value below which CF rejects its system.
+_CF_MIN_SV_RATIO = 1e-10
+
+#: 6D LM: step cap; stop once the predicted decrease is below LM_COST_TOL
+#: of the cost (near the cost's own rounding); initial damping, and the
+#: damping above which the solver gives up.
+LM_MAX_ITER = 100
+LM_COST_TOL = 1e-12
+_LM_LAMBDA_INIT = 1e-3
+_LM_LAMBDA_MAX = 1e12
 
 
 @dataclass(frozen=True)
@@ -150,28 +165,44 @@ def steering_vector(model, p, v):
     The common range ||p|| is subtracted inside every per-cell exponent so
     the entries stay numerically tame in the near field.
     """
-    h, _, _, _, _, _ = _steering_parts(model, p, v)
-    return h
+    wa, _, _, _ = _cell_terms(model, p, v)
+    return wa.sum(axis=1)
 
 
-def _steering_parts(model, p, v):
-    """Steering vector plus the geometric intermediates reused by the
-    refinement stages: (h, wa, u, uhat, ell_t, r)."""
+def _cell_terms(model, p, v):
+    """(wa, pos, dist, ell_t): wa[ell, m] = w[m, ell] a[ell, m] sums over
+    m to h; pos[ell] is the UE position and dist[ell, m] its distance to
+    cell m at sample ell."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     r = float(np.linalg.norm(p))
     if r == 0.0:
         raise OriginError("steering vector undefined at the array center")
-    q = model.cell_centers
     ell_t = np.arange(model.num_samples) * model.sample_time
     pos = p[None, :] + ell_t[:, None] * v[None, :]
-    diff = pos[:, None, :] - q[None, :, :]          # (L, M, 3)
-    dist = np.linalg.norm(diff, axis=2)             # (L, M)
+    diff = pos[:, None, :] - model.cell_centers[None, :, :]   # (L, M, 3)
+    dist = np.linalg.norm(diff, axis=2)                       # (L, M)
     a = np.exp(-2j * np.pi / model.wavelength * (dist - r))
-    wa = model.w.T * a                              # (L, M)
+    return model.w.T * a, pos, dist, ell_t
+
+
+def _model_and_jacobian(model, p, v):
+    """Model response h and its Jacobian dh/d(p, v), an (L, 6) matrix.
+
+    dh/dp = -j k sum_m w a (u_m - p/||p||) and dh/dv = -j k ell T sum_m
+    w a u_m, with u_m the unit vector from cell m to the UE.
+    """
+    wa, pos, dist, ell_t = _cell_terms(model, p, v)
     h = wa.sum(axis=1)
-    u = diff / dist[:, :, None]
-    return h, wa, u, p / r, ell_t, r
+    k0 = 2.0 * np.pi / model.wavelength
+    # s_ell = sum_m wa u_m with u_m = (pos_ell - q_m) / dist, as one GEMM.
+    c = wa / dist
+    s_vec = c.sum(axis=1)[:, None] * pos - c @ model.cell_centers
+    uhat = np.asarray(p, dtype=float) / np.linalg.norm(p)
+    jac = np.empty((len(h), 6), dtype=complex)
+    jac[:, :3] = -1j * k0 * (s_vec - h[:, None] * uhat[None, :])
+    jac[:, 3:] = -1j * k0 * ell_t[:, None] * s_vec
+    return h, jac
 
 
 def ml_alpha(y, h):
@@ -457,15 +488,19 @@ def ff_grid_search(y, model, grid):
 def _solve_displacement(jac, resid):
     """Real-valued least squares for a complex linear system.
 
-    Raises SingularSystemError when the system is rank deficient beyond
-    tolerance.
+    Raises SingularSystemError when the system is rank deficient or its
+    condition exceeds tolerance.
     """
     a = np.vstack([jac.real, jac.imag])
     b = np.concatenate([resid.real, resid.imag])
     sol, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    if rank < jac.shape[1] or sv[-1] <= 1e-10 * sv[0]:
+    if rank < jac.shape[1]:
         raise SingularSystemError(
             f"displacement system rank {rank} of {jac.shape[1]}")
+    if sv[-1] <= _CF_MIN_SV_RATIO * sv[0]:
+        raise SingularSystemError(
+            f"displacement system ill-conditioned: smallest/largest "
+            f"singular value {sv[-1] / sv[0]:.3g} <= {_CF_MIN_SV_RATIO:g}")
     return sol
 
 
@@ -482,30 +517,22 @@ def cf_refine(y, model, p, v, cost_tol=1e-6):
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    k0 = 2.0 * np.pi / model.wavelength
 
-    h0, wa, u, uhat, ell_t, _ = _steering_parts(model, p, v)
+    h0, jac = _model_and_jacobian(model, p, v)
     cost0 = projection_cost(y, h0)
 
-    # Position displacement: dh/dp = -j k sum_m w a (u_m - uhat).
-    s_vec = np.einsum("lm,lmj->lj", wa, u)
-    jac_p = -1j * k0 * (s_vec - wa.sum(axis=1)[:, None] * uhat[None, :])
     alpha = ml_alpha(y, h0)
-    delta_p = _solve_displacement(alpha * jac_p, y - alpha * h0)
+    delta_p = _solve_displacement(alpha * jac[:, :3], y - alpha * h0)
     cand = p + delta_p
-    cost_p = projection_cost(y, steering_vector(model, cand, v)) \
-        if np.linalg.norm(cand) > 0 else np.inf
-    if cost_p < cost0:
-        p, cost_mid = cand, cost_p
-        h1, wa, u, uhat, ell_t, _ = _steering_parts(model, p, v)
-    else:
-        h1, cost_mid = h0, cost0
+    h1, cost_mid = h0, cost0
+    if np.linalg.norm(cand) > 0:
+        h_c, jac_c = _model_and_jacobian(model, cand, v)
+        cost_p = projection_cost(y, h_c)
+        if cost_p < cost0:
+            p, h1, jac, cost_mid = cand, h_c, jac_c, cost_p
 
-    # Velocity displacement: dh/dv = -j k ell T sum_m w a u_m.
-    s_vec = np.einsum("lm,lmj->lj", wa, u)
-    jac_v = -1j * k0 * ell_t[:, None] * s_vec
     alpha = ml_alpha(y, h1)
-    delta_v = _solve_displacement(alpha * jac_v, y - alpha * h1)
+    delta_v = _solve_displacement(alpha * jac[:, 3:], y - alpha * h1)
     cand_v = v + delta_v
     cost_v = projection_cost(y, steering_vector(model, p, cand_v))
     if cost_v < cost_mid:
@@ -518,7 +545,7 @@ def cf_refine(y, model, p, v, cost_tol=1e-6):
     return p, v, converged
 
 
-def refine_loop(y, model, p, v, max_iter=50):
+def refine_loop(y, model, p, v, max_iter=CF_MAX_ITER):
     """Iterate cf_refine until convergence or the iteration cap.
 
     Returns ``(p, v, iterations)``.
@@ -535,29 +562,12 @@ def refine_loop(y, model, p, v, max_iter=50):
 
 
 # ---------------------------------------------------------------------------
-# 6D gradient descent
-
-
-@dataclass(frozen=True)
-class GdOptions:
-    max_iter: int = 500
-    cost_tol: float = 1e-9
-    grad_tol: float = 1e-9
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    init_step: float = 1e-4     # first-move length in scaled coordinates
-    velocity_scale: float | None = None  # default: half snapshot duration
+# 6D refinement: variable-projection Levenberg-Marquardt
 
 
 def cost_and_grad(y, model, p, v):
     """Projection cost and its analytic gradient w.r.t. (p, v)."""
-    h, wa, u, uhat, ell_t, _ = _steering_parts(model, p, v)
-    k0 = 2.0 * np.pi / model.wavelength
-    s_vec = np.einsum("lm,lmj->lj", wa, u)
-    dh_dp = -1j * k0 * (s_vec - wa.sum(axis=1)[:, None] * uhat[None, :])
-    dh_dv = -1j * k0 * ell_t[:, None] * s_vec
-    dh = np.hstack([dh_dp, dh_dv])                   # (L, 6)
-
+    h, dh = _model_and_jacobian(model, p, v)
     c = np.vdot(h, y)
     den = np.vdot(h, h).real
     if den == 0.0:
@@ -570,59 +580,57 @@ def cost_and_grad(y, model, p, v):
     return max(float(cost), 0.0), grad
 
 
-def gradient_descent_6d(y, model, p, v, options=None):
-    """Minimize the projection cost over (p, v) by gradient descent with
-    Armijo backtracking.
+def lm_refine_6d(y, model, p, v):
+    """Minimize the projection cost over (p, v) by Levenberg-Marquardt on
+    the variable-projection residual r = y - alpha_hat h = P_h^perp y.
 
-    Velocity coordinates are pre-scaled by half the snapshot duration so
-    position and velocity curvatures are comparable. The final cost never
-    exceeds the starting cost; the worst case returns the start point.
+    Steps use Kaufman's Jacobian -P_h^perp (dh/dtheta) alpha_hat, split
+    into real and imaginary parts, with Marquardt's diagonal damping (which
+    also balances the position and velocity scales). A step is kept only
+    if the cost falls; the damping follows Nielsen's gain-ratio rule, so
+    curved valleys do not stall the solver in rejected/tiny-step pairs.
 
-    Returns ``(p, v, cost, iterations)``.
+    Returns ``(p, v, cost, iterations)``; the cost never exceeds the
+    starting cost.
     """
-    opts = options or GdOptions()
-    v_scale = opts.velocity_scale
-    if v_scale is None:
-        v_scale = 0.5 * model.num_samples * model.sample_time
-    scale = np.array([1.0, 1.0, 1.0, v_scale, v_scale, v_scale])
-
-    z = np.concatenate([np.asarray(p, float),
-                        np.asarray(v, float) * v_scale])
-    cost, grad = cost_and_grad(y, model, z[:3], z[3:] / v_scale)
-    g_z = grad / scale
-    cost_scale = max(np.vdot(y, y).real, np.finfo(float).tiny)
-    step = opts.init_step / max(np.linalg.norm(g_z), np.finfo(float).tiny)
-
+    theta = np.concatenate([np.asarray(p, float), np.asarray(v, float)])
+    h, dh = _model_and_jacobian(model, theta[:3], theta[3:])
+    cost = projection_cost(y, h)
+    lam, grow = _LM_LAMBDA_INIT, 2.0
     iterations = 0
-    while iterations < opts.max_iter:
-        g_norm2 = float(g_z @ g_z)
-        if np.sqrt(g_norm2) <= opts.grad_tol * cost_scale:
-            break
-        accepted = False
-        t = step
-        for _ in range(60):
-            z_new = z - t * g_z
-            if np.linalg.norm(z_new[:3]) == 0.0:
-                t *= opts.backtrack
-                continue
-            c_new = projection_cost(
-                y, steering_vector(model, z_new[:3], z_new[3:] / v_scale))
-            if c_new <= cost - opts.armijo_c * t * g_norm2:
-                accepted = True
-                break
-            t *= opts.backtrack
-        if not accepted:
-            break
-        rel_dec = (cost - c_new) / max(cost, np.finfo(float).tiny)
-        z, cost = z_new, c_new
-        iterations += 1
-        step = 2.0 * t
-        if rel_dec < opts.cost_tol:
-            break
-        _, grad = cost_and_grad(y, model, z[:3], z[3:] / v_scale)
-        g_z = grad / scale
-
-    return z[:3], z[3:] / v_scale, cost, iterations
+    while iterations < LM_MAX_ITER and lam <= _LM_LAMBDA_MAX:
+        nh2 = np.vdot(h, h).real
+        alpha = np.vdot(h, y) / nh2
+        jac = -alpha * (dh - np.outer(h, h.conj() @ dh) / nh2)
+        resid = y - alpha * h
+        a = np.vstack([jac.real, jac.imag])
+        b = np.concatenate([resid.real, resid.imag])
+        normal = a.T @ a
+        grad = a.T @ b
+        damp = np.diag(np.diag(normal))
+        while lam <= _LM_LAMBDA_MAX:
+            try:
+                step = np.linalg.solve(normal + lam * damp, -grad)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(
+                    f"6D normal system singular: {exc}") from exc
+            predicted = step @ (normal + 2.0 * lam * damp) @ step
+            if predicted <= LM_COST_TOL * cost:
+                return theta[:3], theta[3:], cost, iterations
+            cand = theta + step
+            if np.linalg.norm(cand[:3]) > 0:
+                h_c, dh_c = _model_and_jacobian(model, cand[:3], cand[3:])
+                cost_c = projection_cost(y, h_c)
+                if cost_c < cost:
+                    gain = (cost - cost_c) / predicted
+                    lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                    grow = 2.0
+                    theta, h, dh, cost = cand, h_c, dh_c, cost_c
+                    iterations += 1
+                    break
+            lam *= grow
+            grow *= 2.0
+    return theta[:3], theta[3:], cost, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +645,7 @@ class EstimatorConfig:
     grid: GridSpec = field(default_factory=default_coarse_grid)
     with_cf: bool = True
     with_6d: bool = True
-    max_refine_iter: int = 50
-    gd: GdOptions = field(default_factory=GdOptions)
+    max_refine_iter: int = CF_MAX_ITER
 
     def __post_init__(self):
         if self.gs_variant not in ("nf", "ff", "nf-fine"):
@@ -691,10 +698,10 @@ def estimate(y, model, config, coarse_result=None):
 
     if config.with_6d:
         try:
-            p_gd, v_gd, cost_gd, iters = gradient_descent_6d(
-                y, model, p_cur, v_cur, config.gd)
-            if cost_gd <= cost_cur:
-                p_cur, v_cur, cost_cur = p_gd, v_gd, cost_gd
+            p_lm, v_lm, cost_lm, iters = lm_refine_6d(y, model, p_cur,
+                                                      v_cur)
+            if cost_lm <= cost_cur:
+                p_cur, v_cur, cost_cur = p_lm, v_lm, cost_lm
             trace.record("6D", p_cur, v_cur, cost_cur, iters)
         except (SingularSystemError, ZeroModelError) as exc:
             trace.failures.append(("6D", exc))

@@ -14,8 +14,8 @@ import numpy as np
 from . import channel, estimator
 from .channel import (DEFAULT_UE_VELOCITY, default_scenario, draw_codebook,
                       generate_snapshot)
-from .errors import EmptyInput, SingularSystemError
-from .estimator import (EstimatorConfig, GdOptions, build_steering_model,
+from .errors import EmptyInput
+from .estimator import (CF_MAX_ITER, EstimatorConfig, build_steering_model,
                         default_coarse_grid, estimate, nf_grid_search_batch)
 from .geometry import build_composite_ris
 
@@ -114,8 +114,7 @@ class ExperimentConfig:
     runs: int = 25
     seed_base: int = 1
     variants: tuple = ("gs-nf",)
-    max_refine_iter: int = 50
-    gd: GdOptions = field(default_factory=GdOptions)
+    max_refine_iter: int = CF_MAX_ITER
     threads: int = 1
 
     def __post_init__(self):
@@ -128,8 +127,7 @@ class ExperimentConfig:
     def estimator_config(self, variant):
         return EstimatorConfig(gs_variant=VARIANTS[variant].gs_variant,
                                grid=self.grid,
-                               max_refine_iter=self.max_refine_iter,
-                               gd=self.gd)
+                               max_refine_iter=self.max_refine_iter)
 
 
 @dataclass
@@ -180,8 +178,8 @@ def _trace_errors(trace, truth_p, truth_v):
 
 
 def _trial_skipped(trace):
-    return any(isinstance(exc, SingularSystemError)
-               for _, exc in trace.failures)
+    """A trial any of whose stages failed is left out of the RMS."""
+    return bool(trace.failures)
 
 
 def _point_traces(config, truth_p, point_index, variants=None):
@@ -250,14 +248,14 @@ def _point_traces(config, truth_p, point_index, variants=None):
 
 
 def run_trial(config, truth_p, variant, run_index, point_index=0):
-    """Run one Monte Carlo trial of one variant at one point."""
-    one_run = ExperimentConfig(
-        scenario=config.scenario, layout=config.layout, grid=config.grid,
-        aoi=config.aoi, truth_v=config.truth_v, runs=1,
-        seed_base=config.seed_base, variants=(variant,),
-        max_refine_iter=config.max_refine_iter, gd=config.gd)
-    # Reuse the batch path with a single run at the requested run index by
-    # seeding directly; trial_seeds depends only on (base, point, run).
+    """Run one Monte Carlo trial of one variant at one point.
+
+    The trial draws the same seeds as run ``run_index`` of point
+    ``point_index`` in :func:`_point_traces`, but runs its own coarse grid
+    search instead of sharing the batched one.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     scenario = config.scenario
     layout = config.layout
     spec = VARIANTS[variant]
@@ -269,7 +267,7 @@ def run_trial(config, truth_p, variant, run_index, point_index=0):
     snap = generate_snapshot(truth_p, config.truth_v, layout, codebook,
                              scenario, noise_seed,
                              use_pattern=spec.use_pattern)
-    trace = estimate(snap.y, model, one_run.estimator_config(variant))
+    trace = estimate(snap.y, model, config.estimator_config(variant))
     p_fin, v_fin = trace.final
     finite = snap.snr_per_sample[np.isfinite(snap.snr_per_sample)]
     return TrialResult(
@@ -302,7 +300,8 @@ def _cell_from_traces(truth_p, traces, mean_snr, skipped, truth_v):
 def _map_points(config, fn, points):
     if config.threads <= 1:
         return [fn(i, p) for i, p in enumerate(points)]
-    # Warm the grid cache once before the pool so workers share it.
+    # Workers share the cached grid table: the first search builds it
+    # under the cache lock while the others wait for it.
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         return list(pool.map(lambda ip: fn(*ip), enumerate(points)))
 

@@ -89,6 +89,32 @@ class TestCliExitCodes:
                    "--truth-p", "-2", "0", "-0.5"])
         assert rc == EXIT_GEOMETRY
 
+    @pytest.mark.parametrize("text, named", [
+        ("scenario:\n  f_Hz: 28.0e9\n", "unknown config key: scenario.f_Hz"),
+        ("experiment:\n  aoi:\n    stepm: 0.2\n",
+         "unknown config key: experiment.aoi.stepm"),
+        ("scenario:\n", "config section scenario must be a mapping")])
+    def test_unknown_config_key_exits_2(self, text, named, tmp_path,
+                                        capsys):
+        path = tmp_path / "typo.yaml"
+        path.write_text(text)
+        rc = main(["single", "--config", str(path),
+                   "--out", str(tmp_path / "out"),
+                   "--truth-p", "2", "0", "-0.5"])
+        assert rc == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-line", "sweep-aoi"])
+    def test_sweep_rejects_no_antenna_pattern(self, command, cfg_path,
+                                              tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_path,
+                  "--out", str(tmp_path / "out"), "--no-antenna-pattern"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--no-antenna-pattern" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSingle:
     def test_noiseless_single_outputs(self, cfg_path, tmp_path, capsys):

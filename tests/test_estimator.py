@@ -5,11 +5,11 @@ import pytest
 
 from risloc.channel import (DEFAULT_UE_VELOCITY, default_scenario,
                             draw_codebook, generate_snapshot)
-from risloc.errors import OriginError, ZeroModelError
-from risloc.estimator import (EstimatorConfig, GridSpec,
+from risloc.errors import OriginError, SingularSystemError, ZeroModelError
+from risloc.estimator import (EstimatorConfig, GridSpec, _solve_displacement,
                               build_steering_model, cf_refine, cost_and_grad,
                               default_coarse_grid, estimate, ff_grid_search,
-                              fine_grid_spec, gradient_descent_6d, ml_alpha,
+                              fine_grid_spec, lm_refine_6d, ml_alpha,
                               nf_fine_grid_search, nf_grid_search,
                               nf_grid_search_batch, projection_cost,
                               refine_loop, steering_vector)
@@ -302,6 +302,25 @@ class TestCfRefine:
         p1, v1, _ = refine_loop(y, model, start_p, np.zeros(3))
         assert np.linalg.norm(v1 - DEFAULT_UE_VELOCITY) < err0
 
+    def test_ill_conditioned_system_named(self):
+        # Full rank for lstsq, but past the condition limit: the error
+        # must name the condition test and the ratio, not the rank.
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
+        jac = q @ np.diag([1.0, 1e-3, 1e-12]) * (1 + 0.5j)
+        assert np.linalg.matrix_rank(
+            np.vstack([jac.real, jac.imag])) == 3
+        with pytest.raises(SingularSystemError,
+                           match="ill-conditioned.*1e-12") as exc:
+            _solve_displacement(jac, rng.standard_normal(8) + 0j)
+        assert "rank" not in str(exc.value)
+
+    def test_rank_deficient_system_named(self):
+        jac = np.zeros((8, 3), dtype=complex)
+        jac[:, :2] = np.random.default_rng(4).standard_normal((8, 2))
+        with pytest.raises(SingularSystemError, match="rank 2 of 3"):
+            _solve_displacement(jac, np.ones(8, dtype=complex))
+
 
 class TestRefineLoop:
     def test_converged_input_returns_after_one_iteration(self, model):
@@ -344,6 +363,8 @@ class TestRefineLoop:
 
 
 class TestGradientDescent:
+    """The 6D stage: analytic gradient and the Levenberg-Marquardt solver."""
+
     def test_analytic_gradient_matches_finite_differences(self, model):
         rng = np.random.default_rng(20)
         worst = 0.0
@@ -375,10 +396,10 @@ class TestGradientDescent:
     def test_start_at_minimum_stays(self, model):
         p = np.array([2.0, 0.0, -0.5])
         y = steering_vector(model, p, DEFAULT_UE_VELOCITY)
-        p1, v1, cost, iters = gradient_descent_6d(y, model, p,
-                                                  DEFAULT_UE_VELOCITY)
-        assert iters <= 1
-        assert np.linalg.norm(p1 - p) < 1e-9
+        p1, v1, cost, iters = lm_refine_6d(y, model, p, DEFAULT_UE_VELOCITY)
+        assert iters == 0
+        assert np.array_equal(p1, p)
+        assert np.array_equal(v1, DEFAULT_UE_VELOCITY)
 
     def test_tightens_linearized_refinement_output(self, model):
         p = np.array([2.0, 0.0, -0.5])
@@ -387,17 +408,17 @@ class TestGradientDescent:
         start_v = DEFAULT_UE_VELOCITY + 0.1 * np.array([0.6, 0.0, -0.8])
         pc, vc, _ = refine_loop(y, model, start_p, start_v)
         c_cf = projection_cost(y, steering_vector(model, pc, vc))
-        p1, v1, cost, _ = gradient_descent_6d(y, model, pc, vc)
+        p1, v1, cost, _ = lm_refine_6d(y, model, pc, vc)
         assert cost <= c_cf * (1 + 1e-12)
-        assert np.linalg.norm(p1 - p) < 1e-4
-        assert np.linalg.norm(v1 - DEFAULT_UE_VELOCITY) < 1e-3
+        assert np.linalg.norm(p1 - p) < 1e-7
+        assert np.linalg.norm(v1 - DEFAULT_UE_VELOCITY) < 1e-5
 
     def test_final_cost_never_exceeds_start(self, model):
         rng = np.random.default_rng(31)
         p = np.array([1.5, -0.4, -0.5])
         y = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         c0 = projection_cost(y, steering_vector(model, p, np.zeros(3)))
-        _, _, cost, _ = gradient_descent_6d(y, model, p, np.zeros(3))
+        _, _, cost, _ = lm_refine_6d(y, model, p, np.zeros(3))
         assert cost <= c0
 
 
@@ -434,6 +455,23 @@ class TestEstimatePipeline:
         assert all(b <= a * (1 + 1e-12) for a, b in zip(costs, costs[1:]))
         assert [rec.stage for rec in trace.records] == \
             ["GS", "GS-fine", "CF", "6D"]
+
+    def test_final_cost_not_above_truth(self, layout, scenario):
+        # The ML property: an estimator that reaches the optimum of the
+        # projection cost can do no worse than the cost at the true (p, v).
+        for seed, p in enumerate([(1.5, 0.1, -0.5), (0.9, -0.1, -0.4),
+                                  (2.2, 0.2, -0.6), (1.2, 0.0, -0.5)]):
+            p = np.array(p)
+            cb = draw_codebook(layout.num_cells, scenario.num_samples,
+                               scenario.reflection_set, seed=100 + seed)
+            m = build_steering_model(layout, cb, scenario)
+            snap = generate_snapshot(p, DEFAULT_UE_VELOCITY, layout, cb,
+                                     scenario, noise_seed=200 + seed)
+            trace = estimate(snap.y, m, EstimatorConfig(grid=small_grid()))
+            truth_cost = projection_cost(
+                snap.y, steering_vector(m, p, DEFAULT_UE_VELOCITY))
+            assert not trace.failures
+            assert trace.records[-1].cost <= truth_cost
 
     def test_invalid_variant_rejected(self):
         with pytest.raises(ValueError):

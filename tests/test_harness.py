@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from risloc.errors import EmptyInput
-from risloc.estimator import GridSpec
-from risloc.harness import (AoiSpec, ExperimentConfig, VARIANTS,
-                            _point_traces, aoi_sweep, line_sweep, line_table,
-                            mix_seed, rms, run_trial, splitmix64,
-                            stage_label, trial_seeds)
+from risloc.errors import EmptyInput, SingularSystemError, ZeroModelError
+from risloc.estimator import EstimateTrace, GridSpec
+from risloc.harness import (AoiSpec, ExperimentConfig, PointResult, VARIANTS,
+                            _cell_from_traces, _point_traces, aoi_sweep,
+                            line_sweep, line_table, mix_seed, rms, run_trial,
+                            splitmix64, stage_label, trial_seeds)
 
 
 def small_grid():
@@ -203,3 +203,33 @@ class TestSweeps:
         for a, b in zip(seq, par):
             assert a.rmspe["gs-nf"] == b.rmspe["gs-nf"]
             assert a.rmsve["gs-nf"] == b.rmsve["gs-nf"]
+
+
+class TestFailureAccounting:
+    """A trial with any failed stage is skipped everywhere RMS is taken."""
+
+    @staticmethod
+    def _trace(p_err, failure=None):
+        trace = EstimateTrace()
+        for stage in ("GS", "CF", "6D"):
+            trace.record(stage, np.array([2.0 + p_err, 0.0, -0.5]),
+                         np.zeros(3), 1.0)
+        if failure is not None:
+            trace.failures.append(("6D", failure))
+        return trace
+
+    @pytest.mark.parametrize("failure", [ZeroModelError("zero"),
+                                         SingularSystemError("singular")])
+    def test_failed_trials_left_out_of_rms(self, failure):
+        truth_p = np.array([2.0, 0.0, -0.5])
+        traces = {"gs-nf": [self._trace(0.003), self._trace(0.004),
+                            self._trace(5.0, failure)]}
+        cell = _cell_from_traces(truth_p, traces, 10.0, 1, np.zeros(3))
+        assert cell.rmspe["gs-nf"] == pytest.approx(rms([0.003, 0.004]),
+                                                    rel=1e-9)
+        point = PointResult(truth_p=truth_p, d_r=2.06, traces=traces,
+                            mean_snr_db=10.0, skipped=1)
+        rows = line_table([point], np.zeros(3))
+        assert [r["skipped"] for r in rows] == [1, 1, 1]
+        assert all(r["runs"] == 2 for r in rows)
+        assert all(r["rmspe_m"] < 0.01 for r in rows)
