@@ -61,8 +61,11 @@ class Scenario:
             raise ValueError("transmit power must be positive")
         if self.bs_gain < 1 or self.ue_gain < 1:
             raise ValueError("linear antenna gains must be >= 1")
-        mags = np.abs(np.asarray(self.reflection_set))
-        if not np.allclose(mags, 1.0, atol=1e-12):
+        refl = np.asarray(self.reflection_set)
+        if refl.shape != (2,) or refl[0] == refl[1]:
+            raise ValueError("the reflection set must hold exactly two "
+                             "distinct values (1-bit cells)")
+        if not np.allclose(np.abs(refl), 1.0, atol=1e-12):
             raise ValueError("reflection coefficients must be unit modulus")
 
     @property

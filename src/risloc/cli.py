@@ -77,6 +77,25 @@ def _check_keys(section, known, prefix):
             _check_keys(value, known[key], f"{name}.")
 
 
+def effective_config(cfg, args):
+    """The YAML config with the CLI flags that change results merged in.
+
+    A flag left at its default adds nothing, so a run without flags keeps
+    the hash of its file.
+    """
+    eff = {key: dict(value) if isinstance(value, dict) else value
+           for key, value in cfg.items()}
+    experiment = eff.setdefault("experiment", {})
+    for key, value in (("seed_base", args.seed), ("runs", args.runs),
+                       ("variants", args.variant)):
+        if value is not None:
+            experiment[key] = value
+    for flag in ("noiseless", "no_antenna_pattern"):
+        if getattr(args, flag, False):
+            eff.setdefault("flags", {})[flag] = True
+    return eff
+
+
 def config_hash(cfg):
     """Canonical hash: invariant to key order and file whitespace."""
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"),
@@ -167,7 +186,8 @@ def build_experiment(cfg, args, noiseless=False):
             aoi=aoi,
             truth_v=np.asarray(ec.get("truth_v_mps", DEFAULT_UE_VELOCITY),
                                dtype=float),
-            runs=args.runs if args.runs else int(ec.get("runs", 25)),
+            runs=args.runs if args.runs is not None
+            else int(ec.get("runs", 25)),
             seed_base=args.seed if args.seed is not None
             else int(ec.get("seed_base", 1)),
             variants=variants,
@@ -183,9 +203,9 @@ def atomic_write(path, text):
     os.replace(tmp, path)
 
 
-def write_manifest(out_dir, cfg, config, command, elapsed):
+def write_manifest(out_dir, cfg, args, config, command, elapsed):
     lines = [
-        f"config_hash {config_hash(cfg)}",
+        f"config_hash {config_hash(effective_config(cfg, args))}",
         f"seed_base {config.seed_base}",
         f"command {command}",
         f"tool_version {__version__}",
@@ -232,7 +252,8 @@ def cmd_single(args):
     model = build_steering_model(layout, codebook, scenario)
     trace = estimate(snap.y, model, config.estimator_config(variant))
     write_trace(trace, os.path.join(args.out, "trace.txt"))
-    write_manifest(args.out, cfg, config, "single", time.time() - start)
+    write_manifest(args.out, cfg, args, config, "single",
+                   time.time() - start)
     if trace.failures:
         for stage, exc in trace.failures:
             print(f"stage {stage} failed: {exc}", file=sys.stderr)
@@ -255,10 +276,12 @@ def cmd_sweep_aoi(args):
             lines.append(
                 f"{cell.truth_p[0]:.9g} {cell.truth_p[1]:.9g} {variant} "
                 f"{cell.rmspe[variant]:.9g} {cell.rmsve[variant]:.9g} "
-                f"{cell.mean_snr_db:.9g} {cell.run_count} {cell.skipped}")
+                f"{cell.mean_snr_db:.9g} {cell.run_count} "
+                f"{cell.skipped[variant]}")
     atomic_write(os.path.join(args.out, "aoi_results.txt"),
                  "\n".join(lines) + "\n")
-    write_manifest(args.out, cfg, config, "sweep-aoi", time.time() - start)
+    write_manifest(args.out, cfg, args, config, "sweep-aoi",
+                   time.time() - start)
     return EXIT_OK
 
 
@@ -282,7 +305,8 @@ def cmd_sweep_line(args):
             f"{row['runs']} {row['skipped']}")
     atomic_write(os.path.join(args.out, "line_results.txt"),
                  "\n".join(lines) + "\n")
-    write_manifest(args.out, cfg, config, "sweep-line", time.time() - start)
+    write_manifest(args.out, cfg, args, config, "sweep-line",
+                   time.time() - start)
     return EXIT_OK
 
 

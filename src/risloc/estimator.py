@@ -12,13 +12,20 @@ alternating linearized least-squares refinement of position and velocity
 as a warm start, and a final joint 6D variable-projection
 Levenberg-Marquardt solve.
 
-Grid-search steering matrices are cached per (grid, layout) pair, and the
-batch API scores many snapshots against one cached matrix in a single
-pass; this is what makes the Monte Carlo sweeps tractable.
+All grid searches (coarse and fine near-field, far-field directions and
+the far-field range line) share one table builder and one scorer. The
+builder yields the table exp(j phi_nm) b_m in chunks of real re/im
+planes, with the hypothesized RIS-UE phase phi and the known BS phase b
+folded in. The reflection set has exactly two values, so the codebook is
+an offset plus a +/-1 sign matrix up to a common factor, which the
+projection cost ignores: the scorer is a handful of real GEMMs.
+Sweeps cache the coarse tables per (grid, layout, BS position) and score
+many snapshots per pass; one-shot searches stream the chunks and keep
+nothing. Fine tables are kept one at a time.
 """
 
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from hashlib import sha1
 
@@ -57,7 +64,11 @@ class SteeringModel:
 
     ``w[m, ell] = gamma[m, ell] * exp(-j 2 pi ||p_BS - q_m|| / lambda)``
     absorbs everything known; the steering vector adds the hypothesized
-    RIS-UE phases on top.
+    RIS-UE phases on top. The grid searches use the same model split in
+    two: the BS phase ``bs_phase`` (radians, reduced mod 2 pi), which their
+    tables fold in, and the two-value codebook written as
+    ``gamma = delta * (offset + signs)`` with ``signs`` = +/-1 and the
+    common factor delta dropped.
     """
 
     cell_centers: np.ndarray   # (M, 3) m
@@ -65,18 +76,33 @@ class SteeringModel:
     wavelength: float
     sample_time: float
     num_samples: int
+    bs_phase: np.ndarray = None   # (M,) rad
+    signs: np.ndarray = None      # (M, L) +/-1
+    offset: complex = 0.0         # mu / delta of the reflection set
 
 
 def build_steering_model(layout, codebook, scenario):
-    """Assemble the steering model from layout, codebook and scenario."""
+    """Assemble the steering model from layout, codebook and scenario.
+
+    The codebook must draw from the scenario's two-value reflection set
+    {g0, g1}; its entries are split as (g0 + g1)/2 + s (g0 - g1)/2.
+    """
     q = layout.cell_centers
     d_bs = np.linalg.norm(scenario.bs_position[None, :] - q, axis=1)
     phase = np.exp(-2j * np.pi * d_bs / scenario.wavelength)
-    return SteeringModel(cell_centers=q,
-                         w=codebook.gamma * phase[:, None],
-                         wavelength=scenario.wavelength,
-                         sample_time=scenario.sample_time,
-                         num_samples=scenario.num_samples)
+    g0, g1 = scenario.reflection_set
+    gamma = codebook.gamma
+    if not np.all((gamma == g0) | (gamma == g1)):
+        raise ValueError("codebook entries must come from the scenario's "
+                         "reflection set")
+    return SteeringModel(
+        cell_centers=q, w=gamma * phase[:, None],
+        wavelength=scenario.wavelength, sample_time=scenario.sample_time,
+        num_samples=scenario.num_samples,
+        bs_phase=-np.mod(2.0 * np.pi / scenario.wavelength * d_bs,
+                         2.0 * np.pi),
+        signs=np.where(gamma == g0, 1.0, -1.0),
+        offset=complex((g0 + g1) / (g0 - g1)))
 
 
 @dataclass(frozen=True)
@@ -224,46 +250,104 @@ def projection_cost(y, h):
 
 # ---------------------------------------------------------------------------
 # Grid search
+#
+# Every search scores its candidates against one kind of steering table,
+# T[n, m] = exp(j phi_nm) b_m: phi_nm is the hypothesized RIS-UE phase of
+# cell m for candidate n, b_m the known BS phase. With the codebook split
+# as gamma = delta (offset + s), s = +/-1, candidate n responds with
+# h = delta (offset rowsum(T)[n] + (T @ S)[n]); the projection cost ignores
+# the common scale delta, so real GEMMs of the table's re/im planes with
+# the real sign matrix S score it.
 
 
-class _GridData:
-    """Candidate coordinates plus chunked steering-entry matrix."""
-
-    def __init__(self, coords, positions, chunks, nbytes):
-        self.coords = coords          # (N, 3) az rad, el rad, r m
-        self.positions = positions    # (N, 3) m
-        self.chunks = chunks          # list of (n_c, M) complex arrays
-        self.nbytes = nbytes
+#: Candidate coordinates (az rad, el rad, r m) and positions (m) plus the
+#: steering table as chunks of ``dtype`` from :func:`_table_chunks`: a list
+#: when cached, a generator when streamed.
+_Table = namedtuple("_Table", "coords positions chunks dtype")
 
 
-_GRID_CACHE = OrderedDict()
-_GRID_CACHE_LOCK = threading.Lock()
+class _TableCache:
+    """Built tables, least recently used first, bounded in bytes.
+
+    A miss evicts before it builds, so the bound also holds while the new
+    table is built; a bound of 0 keeps only the latest table.
+    """
+
+    def __init__(self, limit):
+        self.limit = limit
+        self._tables = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, nbytes, build):
+        with self._lock:
+            if key in self._tables:
+                self._tables.move_to_end(key)
+                return self._tables[key][1]
+            held = sum(size for size, _ in self._tables.values())
+            while self._tables and held + nbytes > self.limit:
+                held -= self._tables.popitem(last=False)[1][0]
+            table = build()
+            self._tables[key] = (nbytes, table)
+            return table
 
 
-def _layout_key(q):
-    return (q.shape[0], sha1(np.ascontiguousarray(q).tobytes()).hexdigest())
+#: Coarse near-field and far-field tables, shared by sweep workers.
+_COARSE_TABLES = _TableCache(_CACHE_BYTES_LIMIT)
+#: Fine tables, one at a time: each serves the trials of one coarse cell.
+_FINE_TABLES = _TableCache(0)
 
 
-def clear_grid_cache():
-    with _GRID_CACHE_LOCK:
-        _GRID_CACHE.clear()
+def _table_chunks(points, ranges, model, dtype):
+    """Yield the steering table _CHUNK_ROWS rows at a time as (re, im,
+    row sums).
+
+    With ``ranges`` (near field), row n holds exp(-j k (||p_n - q_m|| -
+    r_n)) b_m for the candidate p_n at range r_n; ``d - r`` is evaluated as
+    ``(||q||^2 - 2 p.q) / (d + r)`` to avoid cancellation, which also lets
+    the distances come out of one GEMM. With ``ranges`` None (far field),
+    p_n is a unit direction and row n holds exp(j k p_n.q_m) b_m.
+    """
+    k0 = 2.0 * np.pi / model.wavelength
+    q = model.cell_centers.astype(dtype)
+    nq2 = (q ** 2).sum(axis=1)
+    bs_phase = model.bs_phase.astype(dtype)
+    ones = np.ones(len(q), dtype=dtype)
+    for lo in range(0, len(points), _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, len(points))
+        pq = points[lo:hi].astype(dtype) @ q.T
+        if ranges is None:
+            phase = k0 * pq
+        else:
+            delta = nq2[None, :] - 2.0 * pq                  # d^2 - r^2
+            r_blk = ranges[lo:hi, None].astype(dtype)
+            dist = np.sqrt(np.maximum(r_blk ** 2 + delta, 0.0))
+            phase = -k0 * delta / (dist + r_blk)
+        phase += bs_phase
+        re, im = np.cos(phase), np.sin(phase)
+        yield re, im, re @ ones + 1j * (im @ ones)
 
 
-def _cache_put(key, data):
-    _GRID_CACHE[key] = data
-    total = sum(d.nbytes for d in _GRID_CACHE.values())
-    while total > _CACHE_BYTES_LIMIT and len(_GRID_CACHE) > 1:
-        _, evicted = _GRID_CACHE.popitem(last=False)
-        total -= evicted.nbytes
+def _table(model, num_rows, candidates, cache=None, key=None):
+    """The table of the candidates that ``candidates()`` returns as
+    (coords, positions, ranges): streamed if ``cache`` is None, else built
+    once per ``key`` and kept in ``cache``."""
+    dtype = np.float32 if num_rows * model.cell_centers.shape[0] \
+        > _SINGLE_PRECISION_THRESHOLD else np.float64
 
+    def build(stream):
+        coords, positions, ranges = candidates()
+        chunks = _table_chunks(positions, ranges, model, dtype)
+        return _Table(coords, positions, chunks if stream else list(chunks),
+                      dtype)
 
-def _grid_coords(grid):
-    """Flattened candidate coordinates in row-major (az, el, r) order."""
-    az_deg, el_deg, r_m = grid.axis_values()
-    az = np.deg2rad(az_deg)
-    el = np.deg2rad(el_deg)
-    aa, ee, rr = np.meshgrid(az, el, r_m, indexing="ij")
-    return np.column_stack([aa.ravel(), ee.ravel(), rr.ravel()])
+    if cache is None:
+        return build(stream=True)
+    digest = sha1(np.ascontiguousarray(model.cell_centers).tobytes())
+    digest.update(np.ascontiguousarray(model.bs_phase).tobytes())
+    nbytes = 2 * num_rows * model.cell_centers.shape[0] \
+        * np.dtype(dtype).itemsize
+    return cache.get(key + (round(model.wavelength, 15), digest.hexdigest()),
+                     nbytes, lambda: build(stream=False))
 
 
 def _coords_to_positions(coords):
@@ -273,136 +357,103 @@ def _coords_to_positions(coords):
          np.sin(coords[:, 1])])
 
 
-def _phase_chunks(positions, ranges, q, wavelength, single):
-    """Chunked matrices of exp(-j k (||p - q_m|| - ||p||)).
+def _nf_table(grid, model, cache):
+    """Candidates in row-major (az, el, r) order."""
+    def candidates():
+        az_deg, el_deg, r_m = grid.axis_values()
+        aa, ee, rr = np.meshgrid(np.deg2rad(az_deg), np.deg2rad(el_deg),
+                                 r_m, indexing="ij")
+        coords = np.column_stack([aa.ravel(), ee.ravel(), rr.ravel()])
+        return coords, _coords_to_positions(coords), coords[:, 2]
 
-    ``d - r`` is evaluated as ``(||q||^2 - 2 p.q) / (d + r)`` to avoid
-    cancellation, which also lets the distances come out of one GEMM.
+    return _table(model, grid.num_candidates, candidates, cache,
+                  ("nf", grid))
+
+
+def _direction_table(grid, model):
+    """Far-field table on the (azimuth, elevation) grid, range free."""
+    az_deg, el_deg, _ = grid.axis_values()
+
+    def candidates():
+        aa, ee = np.meshgrid(np.deg2rad(az_deg), np.deg2rad(el_deg),
+                             indexing="ij")
+        coords = np.column_stack([aa.ravel(), ee.ravel(), np.ones(aa.size)])
+        return coords, _coords_to_positions(coords), None
+
+    return _table(model, len(az_deg) * len(el_deg), candidates,
+                  _COARSE_TABLES,
+                  ("ff", grid.azimuth_deg, grid.elevation_deg))
+
+
+def _check_entries(entries):
+    """Every model must carry the codebook split, and all must share the
+    first one's cell geometry and BS phase, which the table folds in."""
+    ref = entries[0][0]
+    for model, _ in entries:
+        if model.signs is None or model.bs_phase is None:
+            raise ValueError("grid searches need a model from "
+                             "build_steering_model")
+        for name in ("cell_centers", "bs_phase"):
+            mine, theirs = getattr(model, name), getattr(ref, name)
+            if mine is not theirs and not np.array_equal(mine, theirs):
+                raise ValueError("batched models must share cell geometry "
+                                 "and BS position")
+
+
+def _best_candidates(table, entries):
+    """Score (model, snapshots) entries against a table.
+
+    Returns the winning global candidate index per snapshot, grouped per
+    entry; ties break to the lowest index. Per chunk, two real GEMMs with
+    the models' stacked sign matrices give every response, and two more
+    with each model's snapshots, stacked as [Re y, Im y], give h^H y.
     """
-    k0 = 2.0 * np.pi / wavelength
-    fdt = np.float32 if single else np.float64
-    cdt = np.complex64 if single else np.complex128
-    qf = q.astype(fdt)
-    nq2 = (qf ** 2).sum(axis=1)
-    pf = positions.astype(fdt)
-    rf = ranges.astype(fdt)
-    chunks = []
-    for lo in range(0, len(pf), _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, len(pf))
-        delta = nq2[None, :] - 2.0 * (pf[lo:hi] @ qf.T)   # d^2 - r^2
-        r_blk = rf[lo:hi, None]
-        dist = np.sqrt(np.maximum(r_blk ** 2 + delta, 0.0))
-        phase = (-k0 * delta / (dist + r_blk)).astype(fdt)
-        blk = np.empty(phase.shape, dtype=cdt)
-        np.cos(phase, out=blk.real)
-        np.sin(phase, out=blk.imag)
-        chunks.append(blk)
-    return chunks
-
-
-def _get_nf_grid_data(grid, model, cache=True):
-    key = ("nf", grid, _layout_key(model.cell_centers),
-           round(model.wavelength, 15))
-    with _GRID_CACHE_LOCK:
-        if cache and key in _GRID_CACHE:
-            _GRID_CACHE.move_to_end(key)
-            return _GRID_CACHE[key]
-        coords = _grid_coords(grid)
-        positions = _coords_to_positions(coords)
-        single = coords.shape[0] * model.cell_centers.shape[0] \
-            > _SINGLE_PRECISION_THRESHOLD
-        chunks = _phase_chunks(positions, coords[:, 2],
-                               model.cell_centers, model.wavelength, single)
-        data = _GridData(coords, positions, chunks,
-                         sum(c.nbytes for c in chunks))
-        if cache:
-            _cache_put(key, data)
-        return data
-
-
-def _get_ff_grid_data(grid, model):
-    """Far-field steering entries exp(j k u(az, el)^T q_m) on the
-    (azimuth, elevation) grid; range independent."""
-    key = ("ff", grid.azimuth_deg, grid.elevation_deg,
-           _layout_key(model.cell_centers), round(model.wavelength, 15))
-    with _GRID_CACHE_LOCK:
-        if key in _GRID_CACHE:
-            _GRID_CACHE.move_to_end(key)
-            return _GRID_CACHE[key]
-        az_deg, el_deg, _ = grid.axis_values()
-        az = np.deg2rad(az_deg)
-        el = np.deg2rad(el_deg)
-        aa, ee = np.meshgrid(az, el, indexing="ij")
-        coords = np.column_stack([aa.ravel(), ee.ravel(),
-                                  np.ones(aa.size)])
-        dirs = _coords_to_positions(coords)          # unit vectors
-        k0 = 2.0 * np.pi / model.wavelength
-        single = coords.shape[0] * model.cell_centers.shape[0] \
-            > _SINGLE_PRECISION_THRESHOLD
-        fdt = np.float32 if single else np.float64
-        cdt = np.complex64 if single else np.complex128
-        phase = (k0 * (dirs @ model.cell_centers.T)).astype(fdt)
-        chunks = []
-        for lo in range(0, len(phase), _CHUNK_ROWS):
-            blk = np.empty(phase[lo:lo + _CHUNK_ROWS].shape, dtype=cdt)
-            np.cos(phase[lo:lo + _CHUNK_ROWS], out=blk.real)
-            np.sin(phase[lo:lo + _CHUNK_ROWS], out=blk.imag)
-            chunks.append(blk)
-        data = _GridData(coords, dirs, chunks,
-                         sum(c.nbytes for c in chunks))
-        _cache_put(key, data)
-        return data
-
-
-def _search_grid_data(data, entries):
-    """Score all (model, snapshots) entries against a cached grid.
-
-    Parameters
-    ----------
-    data : _GridData
-    entries : list of (SteeringModel, list of ndarray)
-        Models must share layout geometry; each carries its own codebook.
-
-    Returns
-    -------
-    list of list of int
-        Winning global candidate index per snapshot, grouped per entry.
-        Ties break to the lowest linear index.
-    """
-    cdt = data.chunks[0].dtype
+    dtype = table.dtype
     num_samples = entries[0][0].num_samples
-    w_all = np.concatenate([m.w for m, _ in entries], axis=1).astype(cdt)
-    y_conj = [[np.conj(y).astype(cdt) for y in ys] for _, ys in entries]
-    best_val = [[-np.inf] * len(ys) for _, ys in entries]
-    best_idx = [[0] * len(ys) for _, ys in entries]
-    offset = 0
-    for chunk in data.chunks:
-        h_all = chunk @ w_all
-        h3 = h_all.reshape(len(chunk), len(entries), num_samples)
-        den = (h3.real ** 2 + h3.imag ** 2).sum(axis=2)
-        np.maximum(den, np.finfo(den.dtype).tiny, out=den)
-        for t in range(len(entries)):
-            for j, yc in enumerate(y_conj[t]):
-                num = h3[:, t, :] @ yc
-                val = (num.real ** 2 + num.imag ** 2) / den[:, t]
-                i = int(np.argmax(val))
-                if val[i] > best_val[t][j]:
-                    best_val[t][j] = val[i]
-                    best_idx[t][j] = offset + i
-        offset += len(chunk)
-    return best_idx
+    signs = np.concatenate([m.signs for m, _ in entries], axis=1).astype(dtype)
+    offsets = np.array([m.offset for m, _ in entries],
+                       dtype=np.result_type(dtype, np.complex64))
+    y_stacks = [np.concatenate([np.real(ys).T, np.imag(ys).T],
+                               axis=1).astype(dtype) for _, ys in entries]
+    best_val = [np.full(len(ys), -np.inf) for _, ys in entries]
+    best_idx = [np.zeros(len(ys), dtype=int) for _, ys in entries]
+    start = 0
+    for re, im, rowsum in table.chunks:
+        n = len(re)
+        shift = rowsum[:, None] * offsets[None, :]
+        hr = (re @ signs).reshape(n, len(entries), num_samples)
+        hi = (im @ signs).reshape(n, len(entries), num_samples)
+        hr += shift.real[:, :, None]
+        hi += shift.imag[:, :, None]
+        den = np.einsum("ntl,ntl->nt", hr, hr) \
+            + np.einsum("ntl,ntl->nt", hi, hi)
+        np.maximum(den, np.finfo(dtype).tiny, out=den)
+        for t, y_stack in enumerate(y_stacks):
+            k = y_stack.shape[1] // 2
+            a = hr[:, t, :] @ y_stack
+            b = hi[:, t, :] @ y_stack
+            val = ((a[:, :k] + b[:, k:]) ** 2
+                   + (a[:, k:] - b[:, :k]) ** 2) / den[:, t:t + 1]
+            i = np.argmax(val, axis=0)
+            top = val[i, np.arange(k)]
+            better = top > best_val[t]
+            best_val[t][better] = top[better]
+            best_idx[t][better] = start + i[better]
+        start += n
+    return [idx.tolist() for idx in best_idx]
 
 
-def _finalize_candidates(data, entries, best_idx):
-    """Exact double-precision cost at each winning candidate."""
+def _search(table, entries):
+    """Per entry, ``(SphericalCoord, cost)`` of each snapshot's winner, with
+    the cost recomputed exactly in double precision."""
     out = []
-    for (model, ys), idxs in zip(entries, best_idx):
+    for (model, ys), idxs in zip(entries, _best_candidates(table, entries)):
         row = []
         for y, i in zip(ys, idxs):
-            az, el, r = data.coords[i]
+            az, el, r = table.coords[i]
             coord = SphericalCoord(azimuth=float(az), elevation=float(el),
                                    range_m=float(r))
-            h = steering_vector(model, data.positions[i], np.zeros(3))
+            h = steering_vector(model, table.positions[i], np.zeros(3))
             row.append((coord, projection_cost(y, h)))
         out.append(row)
     return out
@@ -412,22 +463,21 @@ def nf_grid_search_batch(entries, grid, cache=True):
     """Near-field grid search for many snapshots sharing one geometry.
 
     ``entries`` is a list of ``(model, [y, ...])`` pairs; all models must
-    have identical cell positions and wavelength. Returns, per entry, a
-    list of ``(SphericalCoord, cost)`` results (v assumed zero).
+    have identical cell positions, BS position and wavelength. Returns, per
+    entry, a list of ``(SphericalCoord, cost)`` results (v assumed zero).
+    With ``cache`` the table is built once and kept for later searches on
+    the same grid; without, each chunk is built, scored and dropped.
     """
-    ref = entries[0][0]
-    for model, _ in entries[1:]:
-        if model.cell_centers is not ref.cell_centers and \
-                not np.array_equal(model.cell_centers, ref.cell_centers):
-            raise ValueError("batched models must share cell geometry")
-    data = _get_nf_grid_data(grid, ref, cache=cache)
-    best_idx = _search_grid_data(data, entries)
-    return _finalize_candidates(data, entries, best_idx)
+    _check_entries(entries)
+    table = _nf_table(grid, entries[0][0],
+                      _COARSE_TABLES if cache else None)
+    return _search(table, entries)
 
 
 def nf_grid_search(y, model, grid):
-    """Exhaustive near-field search; returns (SphericalCoord, cost)."""
-    return nf_grid_search_batch([(model, [y])], grid)[0][0]
+    """Exhaustive near-field search, streamed; returns (SphericalCoord,
+    cost)."""
+    return nf_grid_search_batch([(model, [y])], grid, cache=False)[0][0]
 
 
 def fine_grid_spec(coarse, az_halfwidth_deg=1.0, az_step_deg=0.1,
@@ -451,11 +501,15 @@ def fine_grid_spec(coarse, az_halfwidth_deg=1.0, az_step_deg=0.1,
 
 
 def nf_fine_grid_search(y, model, coarse):
-    """Fine near-field search centered on the coarse estimate."""
-    grid = fine_grid_spec(coarse)
-    data = _get_nf_grid_data(grid, model, cache=False)
-    best_idx = _search_grid_data(data, [(model, [y])])
-    return _finalize_candidates(data, [(model, [y])], best_idx)[0][0]
+    """Fine near-field search centered on the coarse estimate.
+
+    The table is kept until a search around another cell replaces it, so
+    callers should run the searches of one coarse cell together.
+    """
+    entries = [(model, [y])]
+    _check_entries(entries)
+    return _search(_nf_table(fine_grid_spec(coarse), model, _FINE_TABLES),
+                   entries)[0][0]
 
 
 def ff_grid_search(y, model, grid):
@@ -464,21 +518,21 @@ def ff_grid_search(y, model, grid):
 
     The far-field steering phase is range independent, and the projection
     cost ignores any common scale, so no nominal range enters stage one.
+    The range line is scored as one near-field table.
     """
-    data = _get_ff_grid_data(grid, model)
-    idx = _search_grid_data(data, [(model, [y])])[0][0]
-    az, el = data.coords[idx, 0], data.coords[idx, 1]
-    _, _, r_axis = grid.axis_values()
-    best = None
-    for r in r_axis:
-        coord = SphericalCoord(azimuth=float(az), elevation=float(el),
-                               range_m=float(r))
-        h = steering_vector(model, spherical_to_cartesian(coord),
-                            np.zeros(3))
-        cost = projection_cost(y, h)
-        if best is None or cost < best[1]:
-            best = (coord, cost)
-    return best
+    entries = [(model, [y])]
+    _check_entries(entries)
+    dirs = _direction_table(grid, model)
+    az, el, _ = dirs.coords[_best_candidates(dirs, entries)[0][0]]
+    r_axis = grid.axis_values()[2]
+
+    def range_line():
+        coords = np.column_stack([np.full_like(r_axis, az),
+                                  np.full_like(r_axis, el), r_axis])
+        return coords, np.array([spherical_to_cartesian(
+            SphericalCoord(*map(float, c))) for c in coords]), r_axis
+
+    return _search(_table(model, len(r_axis), range_line), entries)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +711,11 @@ def estimate(y, model, config, coarse_result=None):
 
     ``coarse_result`` optionally injects a precomputed coarse grid-search
     result (as returned by the batch API) so sweeps can share that work;
-    the recorded trace is identical to an uninjected run.
+    the recorded trace is identical to an uninjected run. Without it the
+    coarse near-field search streams its table and keeps nothing, which
+    suits one-shot calls; a caller that estimates repeatedly on one grid
+    should score its snapshots with :func:`nf_grid_search_batch` and
+    inject the results.
 
     A stage that fails records its input estimate and the pipeline
     continues; failures are listed on the returned trace.

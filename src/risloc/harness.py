@@ -120,6 +120,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         for name in self.variants:
             if name not in VARIANTS:
                 raise ValueError(f"unknown variant {name!r}")
@@ -149,7 +151,7 @@ class CellResult:
     rmsve: dict              # variant -> m/s
     mean_snr_db: float
     run_count: int
-    skipped: int
+    skipped: dict            # variant -> trials left out of the RMS
 
 
 @dataclass
@@ -160,7 +162,7 @@ class PointResult:
     d_r: float
     traces: dict             # variant -> list of EstimateTrace
     mean_snr_db: float
-    skipped: int
+    skipped: dict            # variant -> trials left out of the RMS
 
 
 def rms(errors):
@@ -182,11 +184,17 @@ def _trial_skipped(trace):
     return bool(trace.failures)
 
 
+def _skipped(traces):
+    """Skipped trials per variant."""
+    return {v: sum(map(_trial_skipped, tlist)) for v, tlist in traces.items()}
+
+
 def _point_traces(config, truth_p, point_index, variants=None):
     """Run all trials and variants at one point with a shared coarse GS.
 
     Returns (traces, mean_snr_db, skipped) where traces maps
-    variant -> list of EstimateTrace over runs.
+    variant -> list of EstimateTrace over runs and skipped maps variant ->
+    skipped trials.
     """
     variants = list(variants if variants is not None else config.variants)
     scenario = config.scenario
@@ -222,20 +230,33 @@ def _point_traces(config, truth_p, point_index, variants=None):
     coarse = nf_grid_search_batch(entries, config.grid) \
         if any(ys for _, ys in entries) else [[] for _ in entries]
 
-    traces = {v: [] for v in variants}
+    trials = []
     for run in range(config.runs):
         run_coarse = list(coarse[run])
         coarse_on = run_coarse.pop(0) if nf_on else None
         coarse_off = run_coarse.pop(0) if nf_off else None
         for v in variants:
             spec = VARIANTS[v]
-            snap = snaps_on[run] if spec.use_pattern else snaps_off[run]
             init = None
             if spec.gs_variant != "ff":
                 init = coarse_on if spec.use_pattern else coarse_off
-            traces[v].append(estimate(snap.y, models[run],
-                                      config.estimator_config(v),
-                                      coarse_result=init))
+            trials.append((run, v, init))
+
+    # A fine search builds one table per coarse cell; run the fine trials
+    # last, grouped by cell, so that each table is built once.
+    def cell_order(trial):
+        _, v, init = trial
+        if VARIANTS[v].gs_variant != "nf-fine":
+            return (0,)
+        coord = init[0]
+        return (1, coord.azimuth, coord.elevation, coord.range_m)
+
+    traces = {v: [None] * config.runs for v in variants}
+    for run, v, init in sorted(trials, key=cell_order):
+        snap = snaps_on[run] if VARIANTS[v].use_pattern else snaps_off[run]
+        traces[v][run] = estimate(snap.y, models[run],
+                                  config.estimator_config(v),
+                                  coarse_result=init)
 
     ref_snaps = snaps_on if need_on else snaps_off
     finite = [s.snr_per_sample[np.isfinite(s.snr_per_sample)]
@@ -243,8 +264,7 @@ def _point_traces(config, truth_p, point_index, variants=None):
     snr_values = np.concatenate([f for f in finite if f.size]) \
         if any(f.size for f in finite) else np.array([np.inf])
     mean_snr = float(np.mean(snr_values))
-    skipped = sum(_trial_skipped(t) for ts in traces.values() for t in ts)
-    return traces, mean_snr, skipped
+    return traces, mean_snr, _skipped(traces)
 
 
 def run_trial(config, truth_p, variant, run_index, point_index=0):
@@ -280,7 +300,7 @@ def run_trial(config, truth_p, variant, run_index, point_index=0):
         skipped=_trial_skipped(trace))
 
 
-def _cell_from_traces(truth_p, traces, mean_snr, skipped, truth_v):
+def _cell_from_traces(truth_p, traces, mean_snr, truth_v):
     rmspe, rmsve = {}, {}
     for variant, tlist in traces.items():
         kept = [t for t in tlist if not _trial_skipped(t)]
@@ -294,7 +314,7 @@ def _cell_from_traces(truth_p, traces, mean_snr, skipped, truth_v):
     return CellResult(truth_p=truth_p, rmspe=rmspe, rmsve=rmsve,
                       mean_snr_db=mean_snr,
                       run_count=len(next(iter(traces.values()))),
-                      skipped=skipped)
+                      skipped=_skipped(traces))
 
 
 def _map_points(config, fn, points):
@@ -311,9 +331,8 @@ def aoi_sweep(config):
     points = config.aoi.grid_points()
 
     def one_point(index, truth_p):
-        traces, mean_snr, skipped = _point_traces(config, truth_p, index)
-        return _cell_from_traces(truth_p, traces, mean_snr, skipped,
-                                 config.truth_v)
+        traces, mean_snr, _ = _point_traces(config, truth_p, index)
+        return _cell_from_traces(truth_p, traces, mean_snr, config.truth_v)
 
     return _map_points(config, one_point, points)
 

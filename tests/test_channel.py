@@ -273,6 +273,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(reflection_set=(0.5, 1.0))
 
+    @pytest.mark.parametrize("refl", [(1.0,), (1.0, 1j, -1.0), (1j, 1j)])
+    def test_reflection_set_not_two_distinct_values_rejected(self, refl):
+        with pytest.raises(ValueError, match="two distinct values"):
+            Scenario(reflection_set=refl)
+
     def test_db_to_linear(self):
         assert db_to_linear(0.0) == pytest.approx(1.0)
         assert db_to_linear(19.0) == pytest.approx(79.433, rel=1e-4)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from risloc.cli import (EXIT_CONFIG, EXIT_GEOMETRY, EXIT_OK, build_grid,
-                        build_scenario, config_hash, load_config, main)
+                        build_parser, build_scenario, config_hash,
+                        effective_config, load_config, main)
 from risloc.errors import ConfigError
 
 FAST_CONFIG = """
@@ -105,6 +106,28 @@ class TestCliExitCodes:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--runs", "--threads"])
+    def test_zero_runs_or_threads_exits_2(self, flag, cfg_path, tmp_path,
+                                          capsys):
+        rc = main(["sweep-aoi", "--config", cfg_path,
+                   "--out", str(tmp_path / "out"), flag, "0"])
+        assert rc == EXIT_CONFIG
+        assert f"{flag[2:]} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("phases", ["[-15.0]", "[0.0, 90.0, 180.0]",
+                                        "[30.0, 30.0]"])
+    def test_reflection_set_not_two_values_exits_2(self, phases, tmp_path,
+                                                   capsys):
+        path = tmp_path / "refl.yaml"
+        path.write_text(f"scenario:\n  reflection_phases_deg: {phases}\n")
+        rc = main(["single", "--config", str(path),
+                   "--out", str(tmp_path / "out"),
+                   "--truth-p", "2", "0", "-0.5"])
+        assert rc == EXIT_CONFIG
+        assert "invalid scenario" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["sweep-line", "sweep-aoi"])
     def test_sweep_rejects_no_antenna_pattern(self, command, cfg_path,
                                               tmp_path, capsys):
@@ -139,14 +162,33 @@ class TestSingle:
 
     def test_manifest_contents(self, cfg_path, tmp_path):
         out = tmp_path / "out"
-        main(["single", "--config", cfg_path, "--out", str(out),
-              "--noiseless", "--truth-p", "2", "0", "-0.5"])
+        argv = ["single", "--config", cfg_path, "--out", str(out),
+                "--noiseless", "--truth-p", "2", "0", "-0.5"]
+        main(argv)
         manifest = dict(ln.split(None, 1) for ln in
                         (out / "manifest.txt").read_text().splitlines())
-        assert manifest["config_hash"] == \
-            config_hash(load_config(cfg_path))
+        assert manifest["config_hash"] == config_hash(effective_config(
+            load_config(cfg_path), build_parser().parse_args(argv)))
         assert manifest["seed_base"] == "3"
         assert manifest["command"] == "single"
+
+
+    def test_hash_follows_result_flags(self, cfg_path, tmp_path):
+        def run_hash(name, *flags):
+            out = tmp_path / name
+            assert main(["single", "--config", cfg_path, "--out", str(out),
+                         "--truth-p", "2", "0", "-0.5", *flags]) == EXIT_OK
+            manifest = dict(ln.split(None, 1) for ln in
+                            (out / "manifest.txt").read_text().splitlines())
+            return manifest["config_hash"]
+
+        plain = run_hash("plain")
+        noiseless = run_hash("a", "--noiseless")
+        assert plain == config_hash(load_config(cfg_path))
+        assert noiseless != plain
+        assert run_hash("b", "--noiseless") == noiseless
+        # --seed 3 restates the file's seed_base: same effective config.
+        assert run_hash("c", "--seed", "3") == plain
 
 
 class TestSweeps:

@@ -208,6 +208,30 @@ class TestNfGridSearch:
             single = nf_grid_search(ys[0], m, grid)
             assert row[0] == single
 
+    def test_streamed_matches_cached(self, layout, scenario):
+        entries = []
+        for seed in range(2):
+            cb = draw_codebook(layout.num_cells, scenario.num_samples,
+                               scenario.reflection_set, seed=40 + seed)
+            m = build_steering_model(layout, cb, scenario)
+            entries.append((m, [generate_snapshot(
+                p, DEFAULT_UE_VELOCITY, layout, cb, scenario,
+                noise_seed=seed, use_pattern=pattern).y
+                for p in (np.array([1.8, 0.1, -0.5]),
+                          np.array([0.9, -0.1, -0.4]))
+                for pattern in (True, False)]))
+        cached = nf_grid_search_batch(entries, small_grid())
+        streamed = nf_grid_search_batch(entries, small_grid(), cache=False)
+        assert streamed == cached
+
+    def test_model_without_codebook_split_rejected(self, model):
+        bare = type(model)(cell_centers=model.cell_centers, w=model.w,
+                           wavelength=model.wavelength,
+                           sample_time=model.sample_time,
+                           num_samples=model.num_samples)
+        with pytest.raises(ValueError, match="build_steering_model"):
+            nf_grid_search(np.ones(40, dtype=complex), bare, small_grid())
+
 
 class TestFineGridSearch:
     def test_on_fine_grid_truth_returned_unchanged(self, model):
@@ -234,22 +258,47 @@ class TestFineGridSearch:
         assert cost <= center_cost * (1 + 1e-12)
 
 
+    def test_shared_fine_slot_under_threads(self):
+        # Threads searching around different cells replace each other's
+        # fine table; every result must still equal the serial one.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        model, _, _ = toy_model(num_cells=5, num_samples=4, seed=2)
+        rng = np.random.default_rng(6)
+        jobs = [(rng.standard_normal(4) + 1j * rng.standard_normal(4),
+                 SphericalCoord(np.deg2rad(rng.uniform(-20, 20)),
+                                np.deg2rad(rng.uniform(-20, 20)),
+                                rng.uniform(0.5, 2.5))) for _ in range(12)]
+        serial = [nf_fine_grid_search(y, model, c) for y, c in jobs]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(nf_fine_grid_search, y, model, c)
+                           for y, c in jobs + jobs]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert got == serial + serial
+
+
 class TestFfGridSearch:
     def test_ff_phase_zero_at_reference_cell(self):
         # A cell at the array reference has zero far-field phase for any
-        # direction, so a single-cell model scores identically everywhere;
-        # verify via the steering convention directly.
-        from risloc.estimator import _get_ff_grid_data
-        model, _, _ = toy_model(num_cells=1)
-        model = type(model)(cell_centers=np.zeros((1, 3)), w=model.w,
-                            wavelength=model.wavelength,
-                            sample_time=model.sample_time,
-                            num_samples=model.num_samples)
-        data = _get_ff_grid_data(GridSpec(azimuth_deg=(-30, 30, 10),
-                                          elevation_deg=(-30, 30, 10),
-                                          range_m=(1.0, 2.0, 0.5)), model)
-        for chunk in data.chunks:
-            assert np.allclose(chunk, 1.0)
+        # direction, so its table entry is the folded BS phase alone.
+        from risloc.estimator import _table_chunks
+        from risloc.geometry import RisLayout
+        scenario = default_scenario(num_samples=4)
+        layout = RisLayout(cell_centers=np.zeros((1, 3)), min_spacing=1e-6)
+        cb = draw_codebook(1, 4, scenario.reflection_set, seed=1)
+        model = build_steering_model(layout, cb, scenario)
+        d_bs = np.linalg.norm(scenario.bs_position)
+        expect = np.exp(-2j * np.pi * d_bs / scenario.wavelength)
+        dirs = np.array([spherical_to_cartesian(
+            SphericalCoord(np.deg2rad(a), np.deg2rad(e), 1.0))
+            for a in (-30, 0, 30) for e in (-30, 0, 30)])
+        for re, im, _ in _table_chunks(dirs, None, model, np.float64):
+            assert np.allclose(re + 1j * im, expect, rtol=0, atol=1e-12)
 
     def test_far_point_direction_recovered(self, layout, scenario, model):
         p = spherical_to_cartesian(SphericalCoord(0.0, np.deg2rad(-8.0),
@@ -260,6 +309,28 @@ class TestFfGridSearch:
         got, _ = ff_grid_search(y, model, grid)
         assert abs(np.rad2deg(got.azimuth)) <= 2.0
         assert abs(np.rad2deg(got.elevation) + 8.0) <= 2.0
+
+    def test_range_line_matches_per_range_loop(self, layout, scenario,
+                                               model):
+        grid = GridSpec(azimuth_deg=(-20, 20, 1), elevation_deg=(-30, 10, 1),
+                        range_m=(0.1, 3.9, 0.2))
+        cb = draw_codebook(layout.num_cells, scenario.num_samples,
+                           scenario.reflection_set, seed=7)
+        for seed, p in enumerate([(0.7, 0.0, -0.4), (1.3, 0.2, -0.5),
+                                  (2.4, -0.3, -0.6)]):
+            y = generate_snapshot(np.array(p), DEFAULT_UE_VELOCITY, layout,
+                                  cb, scenario, noise_seed=seed).y
+            got = ff_grid_search(y, model, grid)
+            # Reference: the range line as one steering_vector per range.
+            best = None
+            for r in grid.axis_values()[2]:
+                coord = SphericalCoord(got[0].azimuth, got[0].elevation,
+                                       float(r))
+                cost = projection_cost(y, steering_vector(
+                    model, spherical_to_cartesian(coord), np.zeros(3)))
+                if best is None or cost < best[1]:
+                    best = (coord, cost)
+            assert got == best
 
     def test_short_range_worse_than_nf(self, model):
         p = spherical_to_cartesian(SphericalCoord(0.0, np.deg2rad(-10.0),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from risloc import estimator
 from risloc.errors import EmptyInput, SingularSystemError, ZeroModelError
 from risloc.estimator import EstimateTrace, GridSpec
 from risloc.harness import (AoiSpec, ExperimentConfig, PointResult, VARIANTS,
@@ -84,6 +85,11 @@ class TestVariants:
         with pytest.raises(ValueError):
             ExperimentConfig(variants=("nope",))
 
+    @pytest.mark.parametrize("field", ["runs", "threads"])
+    def test_zero_runs_or_threads_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: 0})
+
 
 class TestAoiSpec:
     def test_grid_point_count(self):
@@ -149,6 +155,33 @@ class TestRunTrial:
             assert np.array_equal(v_b, v_s)
 
 
+class TestFineTables:
+    def test_one_fine_table_per_coarse_cell(self, layout, scenario,
+                                            monkeypatch):
+        builds = []
+        build = estimator._table_chunks
+
+        def counting_build(points, ranges, model, dtype):
+            builds.append(len(points))
+            return build(points, ranges, model, dtype)
+
+        monkeypatch.setattr(estimator, "_table_chunks", counting_build)
+        monkeypatch.setattr(estimator, "_COARSE_TABLES",
+                            estimator._TableCache(estimator._CACHE_BYTES_LIMIT))
+        monkeypatch.setattr(estimator, "_FINE_TABLES",
+                            estimator._TableCache(0))
+        cfg = ExperimentConfig(scenario=scenario, layout=layout,
+                               grid=small_grid(), runs=3, seed_base=5,
+                               variants=("gs-nf-fine", "noap", "gs-nf"))
+        traces, _, _ = _point_traces(cfg, np.array([1.8, 0.1, -0.5]), 0)
+        fine = [t for v in ("gs-nf-fine", "noap") for t in traces[v]]
+        cells = {tuple(t.stage_named("GS").p) for t in fine}
+        # One coarse table, then one fine table per distinct coarse cell.
+        assert builds[0] == small_grid().num_candidates
+        assert len(builds) == 1 + len(cells)
+        assert len(cells) < len(fine)
+
+
 class TestSweeps:
     def test_aoi_sweep_counts_and_order(self, layout, scenario):
         cfg = ExperimentConfig(
@@ -162,7 +195,7 @@ class TestSweeps:
         for cell, p in zip(cells, expect):
             assert np.allclose(cell.truth_p, p)
             assert cell.run_count == 1
-            assert cell.skipped == 0
+            assert cell.skipped == {"gs-nf": 0}
             assert cell.rmspe["gs-nf"] < 0.02
             assert cell.rmsve["gs-nf"] < 0.5
 
@@ -224,12 +257,21 @@ class TestFailureAccounting:
         truth_p = np.array([2.0, 0.0, -0.5])
         traces = {"gs-nf": [self._trace(0.003), self._trace(0.004),
                             self._trace(5.0, failure)]}
-        cell = _cell_from_traces(truth_p, traces, 10.0, 1, np.zeros(3))
+        cell = _cell_from_traces(truth_p, traces, 10.0, np.zeros(3))
         assert cell.rmspe["gs-nf"] == pytest.approx(rms([0.003, 0.004]),
                                                     rel=1e-9)
+        assert cell.skipped == {"gs-nf": 1}
         point = PointResult(truth_p=truth_p, d_r=2.06, traces=traces,
-                            mean_snr_db=10.0, skipped=1)
+                            mean_snr_db=10.0, skipped={"gs-nf": 1})
         rows = line_table([point], np.zeros(3))
         assert [r["skipped"] for r in rows] == [1, 1, 1]
         assert all(r["runs"] == 2 for r in rows)
         assert all(r["rmspe_m"] < 0.01 for r in rows)
+
+    def test_skips_counted_per_variant(self):
+        truth_p = np.array([2.0, 0.0, -0.5])
+        traces = {"gs-nf": [self._trace(0.003),
+                            self._trace(5.0, ZeroModelError("zero"))],
+                  "noap": [self._trace(0.002), self._trace(0.001)]}
+        cell = _cell_from_traces(truth_p, traces, 10.0, np.zeros(3))
+        assert cell.skipped == {"gs-nf": 1, "noap": 0}
