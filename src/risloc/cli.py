@@ -7,6 +7,7 @@ elevation) and meters (range).
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -18,13 +19,13 @@ import yaml
 
 from . import __version__
 from .channel import (DEFAULT_UE_VELOCITY, Scenario, db_to_linear,
-                      draw_codebook, generate_snapshot, save_snapshot)
+                      save_snapshot)
 from .errors import ConfigError, GeometryError, RislocError
-from .estimator import GridSpec, build_steering_model, estimate
+from .estimator import GridSpec, estimate
 from .geometry import (DEFAULT_CELL_DIMS, DEFAULT_CELL_SPACING,
                        DEFAULT_TILE_OFFSETS, build_composite_ris)
 from .harness import (VARIANTS, AoiSpec, ExperimentConfig, aoi_sweep,
-                      line_sweep, line_table, trial_seeds)
+                      draw_trial, line_sweep, line_table)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -229,11 +230,10 @@ def write_trace(trace, path):
 def cmd_single(args):
     cfg = load_config(args.config)
     config = build_experiment(cfg, args, noiseless=args.noiseless)
-    scenario = config.scenario
-    layout = config.layout
+    if args.truth_v:
+        config = dataclasses.replace(
+            config, truth_v=np.asarray(args.truth_v, dtype=float))
     truth_p = np.asarray(args.truth_p, dtype=float)
-    truth_v = np.asarray(args.truth_v, dtype=float) \
-        if args.truth_v else config.truth_v
     if truth_p[0] <= 0:
         raise GeometryError("truth position must be in the front "
                             "half-space (x > 0)")
@@ -243,13 +243,12 @@ def cmd_single(args):
 
     start = time.time()
     os.makedirs(args.out, exist_ok=True)
-    cb_seed, noise_seed = trial_seeds(config.seed_base, 0, 0)
-    codebook = draw_codebook(layout.num_cells, scenario.num_samples,
-                             scenario.reflection_set, cb_seed)
-    snap = generate_snapshot(truth_p, truth_v, layout, codebook, scenario,
-                             noise_seed, use_pattern=use_pattern)
-    save_snapshot(snap, scenario, os.path.join(args.out, "snapshot.txt"))
-    model = build_steering_model(layout, codebook, scenario)
+    model, snaps = draw_trial(config, truth_p, 0, 0, (use_pattern,))
+    snap = snaps[use_pattern]
+    save_snapshot(snap, config.scenario,
+                  os.path.join(args.out, "snapshot.txt"))
+    # One snapshot: the coarse search streams its table instead of
+    # caching the 1.6 GB one a sweep shares.
     trace = estimate(snap.y, model, config.estimator_config(variant))
     write_trace(trace, os.path.join(args.out, "trace.txt"))
     write_manifest(args.out, cfg, args, config, "single",
@@ -310,6 +309,16 @@ def cmd_sweep_line(args):
     return EXIT_OK
 
 
+class _Once(argparse.Action):
+    """A choice that may be given once, stored as a one-item list like a
+    sweep's repeatable ``--variant``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given only once")
+        setattr(namespace, self.dest, [values])
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="risloc",
@@ -320,28 +329,35 @@ def build_parser():
         p.add_argument("--config", required=True, help="YAML config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--noiseless", action="store_true")
+
+    def sweep(p):
+        common(p)
         p.add_argument("--runs", type=int, default=None)
         p.add_argument("--variant", action="append", default=None,
                        choices=sorted(VARIANTS))
-        p.add_argument("--noiseless", action="store_true")
         p.add_argument("--threads", type=int, default=1)
 
     p_single = sub.add_parser("single", help="one snapshot + estimate")
     common(p_single)
+    p_single.add_argument("--variant", action=_Once, default=None,
+                          choices=sorted(VARIANTS))
     # Sweeps take pattern-free data per variant (noap) instead.
     p_single.add_argument("--no-antenna-pattern", action="store_true")
     p_single.add_argument("--truth-p", type=float, nargs=3, required=True,
                           metavar=("X", "Y", "Z"))
     p_single.add_argument("--truth-v", type=float, nargs=3, default=None,
                           metavar=("VX", "VY", "VZ"))
-    p_single.set_defaults(func=cmd_single)
+    # build_experiment reads runs and threads, which a single trial has
+    # no use for.
+    p_single.set_defaults(func=cmd_single, runs=None, threads=1)
 
     p_aoi = sub.add_parser("sweep-aoi", help="Monte Carlo AOI sweep")
-    common(p_aoi)
+    sweep(p_aoi)
     p_aoi.set_defaults(func=cmd_sweep_aoi)
 
     p_line = sub.add_parser("sweep-line", help="distance line sweep")
-    common(p_line)
+    sweep(p_line)
     p_line.set_defaults(func=cmd_sweep_line)
     return parser
 

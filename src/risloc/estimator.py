@@ -46,6 +46,9 @@ _CACHE_BYTES_LIMIT = 2_400_000_000
 #: CF rounds before the 6D solve; README "Why CF runs only 3 rounds".
 CF_MAX_ITER = 3
 
+#: CF stops once a round lowers the cost by less than this share of it.
+_CF_COST_TOL = 1e-6
+
 #: Smallest/largest singular value below which CF rejects its system.
 _CF_MIN_SV_RATIO = 1e-10
 
@@ -76,9 +79,9 @@ class SteeringModel:
     wavelength: float
     sample_time: float
     num_samples: int
-    bs_phase: np.ndarray = None   # (M,) rad
-    signs: np.ndarray = None      # (M, L) +/-1
-    offset: complex = 0.0         # mu / delta of the reflection set
+    bs_phase: np.ndarray       # (M,) rad
+    signs: np.ndarray          # (M, L) +/-1
+    offset: complex            # mu / delta of the reflection set
 
 
 def build_steering_model(layout, codebook, scenario):
@@ -386,13 +389,10 @@ def _direction_table(grid, model):
 
 
 def _check_entries(entries):
-    """Every model must carry the codebook split, and all must share the
-    first one's cell geometry and BS phase, which the table folds in."""
+    """All models must share the first one's cell geometry and BS phase,
+    which the table folds in."""
     ref = entries[0][0]
     for model, _ in entries:
-        if model.signs is None or model.bs_phase is None:
-            raise ValueError("grid searches need a model from "
-                             "build_steering_model")
         for name in ("cell_centers", "bs_phase"):
             mine, theirs = getattr(model, name), getattr(ref, name)
             if mine is not theirs and not np.array_equal(mine, theirs):
@@ -480,8 +480,15 @@ def nf_grid_search(y, model, grid):
     return nf_grid_search_batch([(model, [y])], grid, cache=False)[0][0]
 
 
-def fine_grid_spec(coarse, az_halfwidth_deg=1.0, az_step_deg=0.1,
-                   r_halfwidth=0.2, r_step=0.005):
+#: Fine grid around a coarse cell: half-width and step of both angle axes
+#: (deg) and of the range axis (m).
+_FINE_ANGLE_HALFWIDTH_DEG = 1.0
+_FINE_ANGLE_STEP_DEG = 0.1
+_FINE_RANGE_HALFWIDTH_M = 0.2
+_FINE_RANGE_STEP_M = 0.005
+
+
+def fine_grid_spec(coarse):
     """Refined grid centered on a coarse estimate.
 
     Elevation is clipped to +/-90 deg and the range axis to positive
@@ -489,15 +496,15 @@ def fine_grid_spec(coarse, az_halfwidth_deg=1.0, az_step_deg=0.1,
     """
     az0 = np.rad2deg(coarse.azimuth)
     el0 = np.rad2deg(coarse.elevation)
-    r_lo = coarse.range_m - r_halfwidth
+    half, step = _FINE_ANGLE_HALFWIDTH_DEG, _FINE_ANGLE_STEP_DEG
+    r_lo = coarse.range_m - _FINE_RANGE_HALFWIDTH_M
     if r_lo <= 0:
-        r_lo = r_step
+        r_lo = _FINE_RANGE_STEP_M
     return GridSpec(
-        azimuth_deg=(az0 - az_halfwidth_deg, az0 + az_halfwidth_deg,
-                     az_step_deg),
-        elevation_deg=(max(-90.0, el0 - az_halfwidth_deg),
-                       min(90.0, el0 + az_halfwidth_deg), az_step_deg),
-        range_m=(r_lo, coarse.range_m + r_halfwidth, r_step))
+        azimuth_deg=(az0 - half, az0 + half, step),
+        elevation_deg=(max(-90.0, el0 - half), min(90.0, el0 + half), step),
+        range_m=(r_lo, coarse.range_m + _FINE_RANGE_HALFWIDTH_M,
+                 _FINE_RANGE_STEP_M))
 
 
 def nf_fine_grid_search(y, model, coarse):
@@ -558,7 +565,7 @@ def _solve_displacement(jac, resid):
     return sol
 
 
-def cf_refine(y, model, p, v, cost_tol=1e-6):
+def cf_refine(y, model, p, v):
     """One alternating position/velocity refinement round.
 
     The per-cell phase response is linearized in the displacement around
@@ -594,8 +601,8 @@ def cf_refine(y, model, p, v, cost_tol=1e-6):
     else:
         cost_end = cost_mid
 
-    converged = (cost0 - cost_end) < cost_tol * max(cost0,
-                                                    np.finfo(float).tiny)
+    converged = (cost0 - cost_end) < _CF_COST_TOL * max(
+        cost0, np.finfo(float).tiny)
     return p, v, converged
 
 
@@ -693,13 +700,10 @@ def lm_refine_6d(y, model, p, v):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Stage selection and parameters for one pipeline run."""
+    """Grid-search variant and coarse grid of one pipeline run."""
 
     gs_variant: str = "nf"        # "nf" | "ff" | "nf-fine"
     grid: GridSpec = field(default_factory=default_coarse_grid)
-    with_cf: bool = True
-    with_6d: bool = True
-    max_refine_iter: int = CF_MAX_ITER
 
     def __post_init__(self):
         if self.gs_variant not in ("nf", "ff", "nf-fine"):
@@ -707,7 +711,8 @@ class EstimatorConfig:
 
 
 def estimate(y, model, config, coarse_result=None):
-    """Run the selected pipeline stages and record every estimate.
+    """Run GS (plus GS-fine for "nf-fine"), CF and 6D, and record every
+    estimate.
 
     ``coarse_result`` optionally injects a precomputed coarse grid-search
     result (as returned by the batch API) so sweeps can share that work;
@@ -741,28 +746,24 @@ def estimate(y, model, config, coarse_result=None):
 
     p_cur, v_cur, cost_cur = p_hat, v_zero, cost
 
-    if config.with_cf:
-        try:
-            p_ref, v_ref, iters = refine_loop(y, model, p_cur, v_cur,
-                                              config.max_refine_iter)
-            cost_ref = projection_cost(y, steering_vector(model, p_ref,
-                                                          v_ref))
-            if cost_ref <= cost_cur:
-                p_cur, v_cur, cost_cur = p_ref, v_ref, cost_ref
-            trace.record("CF", p_cur, v_cur, cost_cur, iters)
-        except (SingularSystemError, ZeroModelError) as exc:
-            trace.failures.append(("CF", exc))
-            trace.record("CF", p_cur, v_cur, cost_cur)
+    try:
+        p_ref, v_ref, iters = refine_loop(y, model, p_cur, v_cur,
+                                          CF_MAX_ITER)
+        cost_ref = projection_cost(y, steering_vector(model, p_ref, v_ref))
+        if cost_ref <= cost_cur:
+            p_cur, v_cur, cost_cur = p_ref, v_ref, cost_ref
+        trace.record("CF", p_cur, v_cur, cost_cur, iters)
+    except (SingularSystemError, ZeroModelError) as exc:
+        trace.failures.append(("CF", exc))
+        trace.record("CF", p_cur, v_cur, cost_cur)
 
-    if config.with_6d:
-        try:
-            p_lm, v_lm, cost_lm, iters = lm_refine_6d(y, model, p_cur,
-                                                      v_cur)
-            if cost_lm <= cost_cur:
-                p_cur, v_cur, cost_cur = p_lm, v_lm, cost_lm
-            trace.record("6D", p_cur, v_cur, cost_cur, iters)
-        except (SingularSystemError, ZeroModelError) as exc:
-            trace.failures.append(("6D", exc))
-            trace.record("6D", p_cur, v_cur, cost_cur)
+    try:
+        p_lm, v_lm, cost_lm, iters = lm_refine_6d(y, model, p_cur, v_cur)
+        if cost_lm <= cost_cur:
+            p_cur, v_cur, cost_cur = p_lm, v_lm, cost_lm
+        trace.record("6D", p_cur, v_cur, cost_cur, iters)
+    except (SingularSystemError, ZeroModelError) as exc:
+        trace.failures.append(("6D", exc))
+        trace.record("6D", p_cur, v_cur, cost_cur)
 
     return trace

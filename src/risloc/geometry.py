@@ -2,11 +2,11 @@
 
 The RIS lives in the yz-plane with its center at the origin. The default
 array is built from four hexagonal tiles of 127 unit cells each (508 cells
-total), arranged symmetrically around the origin so that the array centroid
-is the reference point.
+total), arranged symmetrically so that the array centroid is the origin, the
+reference point of every range and steering phase.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -41,8 +41,6 @@ class RisLayout:
     ----------
     cell_centers : ndarray, shape (M, 3)
         Unit cell center positions in meters; all in the yz-plane (x = 0).
-    reference_point : ndarray, shape (3,)
-        Array reference point (the origin for the default layout).
     cell_dims : tuple of float
         Effective cell dimensions (d_y, d_z) in meters.
     min_spacing : float
@@ -50,8 +48,6 @@ class RisLayout:
     """
 
     cell_centers: np.ndarray
-    reference_point: np.ndarray = field(
-        default_factory=lambda: np.zeros(3))
     cell_dims: tuple = DEFAULT_CELL_DIMS
     min_spacing: float = DEFAULT_CELL_SPACING
 
@@ -145,14 +141,14 @@ def build_composite_ris(tile_offsets=DEFAULT_TILE_OFFSETS,
     tile = build_hex_tile(rings, spacing)
     cells = np.vstack([tile + np.array([0.0, oy, oz])
                        for oy, oz in offsets])
-    # Recenter so the array centroid is exactly the reference point.
+    # Recenter so the array centroid is exactly the origin.
     cells = cells - cells.mean(axis=0)
     dmin = pdist(cells).min()
     if dmin < spacing * (1.0 - 1e-6):
         raise OverlapError(
             f"minimum cell distance {dmin:.6g} m below spacing {spacing:.6g} m")
-    return RisLayout(cell_centers=cells, reference_point=np.zeros(3),
-                     cell_dims=tuple(cell_dims), min_spacing=spacing)
+    return RisLayout(cell_centers=cells, cell_dims=tuple(cell_dims),
+                     min_spacing=spacing)
 
 
 def aperture(layout):
@@ -232,5 +228,5 @@ def load_layout(path):
             _, x, y, z = line.split()
             rows.append((float(x), float(y), float(z)))
     cells = np.asarray(rows, dtype=float)
-    return RisLayout(cell_centers=cells, reference_point=np.zeros(3),
-                     cell_dims=cell_dims, min_spacing=min_spacing)
+    return RisLayout(cell_centers=cells, cell_dims=cell_dims,
+                     min_spacing=min_spacing)

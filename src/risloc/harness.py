@@ -1,9 +1,12 @@
 """Monte Carlo experiment driver: per-point trials, AOI sweeps and the
 distance line sweep with algorithm-variant ablations.
 
-Snapshots for all trials of one evaluation point are generated up front
-and scored against the cached coarse grid in a single batch, which is the
-dominant cost; the refinement stages then run per trial.
+Every trial, in the sweeps and in ``risloc single`` alike, is drawn by
+:func:`draw_trial`: the codebook and noise seeds of (point, run) give the
+steering model and one snapshot per antenna-pattern setting. A sweep
+scores all snapshots of one evaluation point against the cached coarse
+grid in a single batch, which is the dominant cost; the refinement stages
+then run per trial.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -15,7 +18,7 @@ from . import channel, estimator
 from .channel import (DEFAULT_UE_VELOCITY, default_scenario, draw_codebook,
                       generate_snapshot)
 from .errors import EmptyInput
-from .estimator import (CF_MAX_ITER, EstimatorConfig, build_steering_model,
+from .estimator import (EstimatorConfig, build_steering_model,
                         default_coarse_grid, estimate, nf_grid_search_batch)
 from .geometry import build_composite_ris
 
@@ -114,7 +117,6 @@ class ExperimentConfig:
     runs: int = 25
     seed_base: int = 1
     variants: tuple = ("gs-nf",)
-    max_refine_iter: int = CF_MAX_ITER
     threads: int = 1
 
     def __post_init__(self):
@@ -128,20 +130,7 @@ class ExperimentConfig:
 
     def estimator_config(self, variant):
         return EstimatorConfig(gs_variant=VARIANTS[variant].gs_variant,
-                               grid=self.grid,
-                               max_refine_iter=self.max_refine_iter)
-
-
-@dataclass
-class TrialResult:
-    """Errors of one trial; stage_errors maps stage -> (perr, verr)."""
-
-    position_error: float
-    velocity_error: float
-    mean_snr_db: float
-    stage_errors: dict
-    trace: estimator.EstimateTrace
-    skipped: bool
+                               grid=self.grid)
 
 
 @dataclass
@@ -173,12 +162,6 @@ def rms(errors):
     return float(np.sqrt(np.mean(arr ** 2)))
 
 
-def _trace_errors(trace, truth_p, truth_v):
-    return {rec.stage: (float(np.linalg.norm(rec.p - truth_p)),
-                        float(np.linalg.norm(rec.v - truth_v)))
-            for rec in trace.records}
-
-
 def _trial_skipped(trace):
     """A trial any of whose stages failed is left out of the RMS."""
     return bool(trace.failures)
@@ -189,128 +172,90 @@ def _skipped(traces):
     return {v: sum(map(_trial_skipped, tlist)) for v, tlist in traces.items()}
 
 
-def _point_traces(config, truth_p, point_index, variants=None):
+def draw_trial(config, truth_p, point_index, run, patterns):
+    """The seeded draw of run ``run`` at point ``point_index``.
+
+    Returns the steering model and a dict mapping each antenna-pattern
+    flag in ``patterns`` to its snapshot; all snapshots share the trial's
+    codebook and noise seed.
+    """
+    scenario, layout = config.scenario, config.layout
+    cb_seed, noise_seed = trial_seeds(config.seed_base, point_index, run)
+    codebook = draw_codebook(layout.num_cells, scenario.num_samples,
+                             scenario.reflection_set, cb_seed)
+    snaps = {pattern: generate_snapshot(truth_p, config.truth_v, layout,
+                                        codebook, scenario, noise_seed,
+                                        use_pattern=pattern)
+             for pattern in patterns}
+    return build_steering_model(layout, codebook, scenario), snaps
+
+
+def _point_traces(config, truth_p, point_index):
     """Run all trials and variants at one point with a shared coarse GS.
 
-    Returns (traces, mean_snr_db, skipped) where traces maps
-    variant -> list of EstimateTrace over runs and skipped maps variant ->
-    skipped trials.
+    Returns (traces, mean_snr_db) where traces maps variant -> list of
+    EstimateTrace over runs.
     """
-    variants = list(variants if variants is not None else config.variants)
-    scenario = config.scenario
-    layout = config.layout
-    need_on = any(VARIANTS[v].use_pattern for v in variants)
-    need_off = any(not VARIANTS[v].use_pattern for v in variants)
-
-    models, snaps_on, snaps_off = [], [], []
-    for run in range(config.runs):
-        cb_seed, noise_seed = trial_seeds(config.seed_base, point_index, run)
-        codebook = draw_codebook(layout.num_cells, scenario.num_samples,
-                                 scenario.reflection_set, cb_seed)
-        models.append(build_steering_model(layout, codebook, scenario))
-        snaps_on.append(generate_snapshot(
-            truth_p, config.truth_v, layout, codebook, scenario,
-            noise_seed, use_pattern=True) if need_on else None)
-        snaps_off.append(generate_snapshot(
-            truth_p, config.truth_v, layout, codebook, scenario,
-            noise_seed, use_pattern=False) if need_off else None)
-
-    # Which snapshots need a coarse NF result, per run.
-    nf_on = any(VARIANTS[v].use_pattern and VARIANTS[v].gs_variant != "ff"
-                for v in variants)
-    nf_off = need_off
-    entries = []
-    for run in range(config.runs):
-        ys = []
-        if nf_on:
-            ys.append(snaps_on[run].y)
-        if nf_off:
-            ys.append(snaps_off[run].y)
-        entries.append((models[run], ys))
-    coarse = nf_grid_search_batch(entries, config.grid) \
-        if any(ys for _, ys in entries) else [[] for _ in entries]
+    specs = {v: VARIANTS[v] for v in config.variants}
+    # Pattern-on first: the coarse batch lists each run's snapshots in
+    # this order, and the mean SNR is read from the first pattern.
+    patterns = sorted({s.use_pattern for s in specs.values()}, reverse=True)
+    nf_patterns = sorted({s.use_pattern for s in specs.values()
+                          if s.gs_variant != "ff"}, reverse=True)
+    draws = [draw_trial(config, truth_p, point_index, run, patterns)
+             for run in range(config.runs)]
+    coarse = nf_grid_search_batch(
+        [(model, [snaps[pat].y for pat in nf_patterns])
+         for model, snaps in draws], config.grid) \
+        if nf_patterns else [[]] * config.runs
 
     trials = []
     for run in range(config.runs):
-        run_coarse = list(coarse[run])
-        coarse_on = run_coarse.pop(0) if nf_on else None
-        coarse_off = run_coarse.pop(0) if nf_off else None
-        for v in variants:
-            spec = VARIANTS[v]
-            init = None
-            if spec.gs_variant != "ff":
-                init = coarse_on if spec.use_pattern else coarse_off
+        run_coarse = dict(zip(nf_patterns, coarse[run]))
+        for v, spec in specs.items():
+            init = None if spec.gs_variant == "ff" \
+                else run_coarse[spec.use_pattern]
             trials.append((run, v, init))
 
     # A fine search builds one table per coarse cell; run the fine trials
     # last, grouped by cell, so that each table is built once.
     def cell_order(trial):
         _, v, init = trial
-        if VARIANTS[v].gs_variant != "nf-fine":
+        if specs[v].gs_variant != "nf-fine":
             return (0,)
         coord = init[0]
         return (1, coord.azimuth, coord.elevation, coord.range_m)
 
-    traces = {v: [None] * config.runs for v in variants}
+    traces = {v: [None] * config.runs for v in specs}
     for run, v, init in sorted(trials, key=cell_order):
-        snap = snaps_on[run] if VARIANTS[v].use_pattern else snaps_off[run]
-        traces[v][run] = estimate(snap.y, models[run],
+        model, snaps = draws[run]
+        traces[v][run] = estimate(snaps[specs[v].use_pattern].y, model,
                                   config.estimator_config(v),
                                   coarse_result=init)
 
-    ref_snaps = snaps_on if need_on else snaps_off
-    finite = [s.snr_per_sample[np.isfinite(s.snr_per_sample)]
-              for s in ref_snaps]
-    snr_values = np.concatenate([f for f in finite if f.size]) \
-        if any(f.size for f in finite) else np.array([np.inf])
-    mean_snr = float(np.mean(snr_values))
-    return traces, mean_snr, _skipped(traces)
+    snr = np.concatenate([snaps[patterns[0]].snr_per_sample
+                          for _, snaps in draws])
+    snr = snr[np.isfinite(snr)]
+    return traces, float(np.mean(snr)) if snr.size else np.inf
 
 
-def run_trial(config, truth_p, variant, run_index, point_index=0):
-    """Run one Monte Carlo trial of one variant at one point.
-
-    The trial draws the same seeds as run ``run_index`` of point
-    ``point_index`` in :func:`_point_traces`, but runs its own coarse grid
-    search instead of sharing the batched one.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    scenario = config.scenario
-    layout = config.layout
-    spec = VARIANTS[variant]
-    cb_seed, noise_seed = trial_seeds(config.seed_base, point_index,
-                                      run_index)
-    codebook = draw_codebook(layout.num_cells, scenario.num_samples,
-                             scenario.reflection_set, cb_seed)
-    model = build_steering_model(layout, codebook, scenario)
-    snap = generate_snapshot(truth_p, config.truth_v, layout, codebook,
-                             scenario, noise_seed,
-                             use_pattern=spec.use_pattern)
-    trace = estimate(snap.y, model, config.estimator_config(variant))
-    p_fin, v_fin = trace.final
-    finite = snap.snr_per_sample[np.isfinite(snap.snr_per_sample)]
-    return TrialResult(
-        position_error=float(np.linalg.norm(p_fin - np.asarray(truth_p))),
-        velocity_error=float(np.linalg.norm(v_fin - config.truth_v)),
-        mean_snr_db=float(np.mean(finite)) if finite.size else np.inf,
-        stage_errors=_trace_errors(trace, np.asarray(truth_p),
-                                   config.truth_v),
-        trace=trace,
-        skipped=_trial_skipped(trace))
+def _stage_rms(tlist, stage, truth_p, truth_v):
+    """(rmspe, rmsve, runs) at ``stage`` over the trials of ``tlist`` that
+    no stage failed in; NaN errors if there are none."""
+    kept = [t.stage_named(stage) for t in tlist if not _trial_skipped(t)]
+    if not kept:
+        return float("nan"), float("nan"), 0
+    return (rms([np.linalg.norm(rec.p - truth_p) for rec in kept]),
+            rms([np.linalg.norm(rec.v - truth_v) for rec in kept]),
+            len(kept))
 
 
 def _cell_from_traces(truth_p, traces, mean_snr, truth_v):
+    """Cell of final-stage (6D) errors per variant."""
     rmspe, rmsve = {}, {}
     for variant, tlist in traces.items():
-        kept = [t for t in tlist if not _trial_skipped(t)]
-        if not kept:
-            rmspe[variant] = rmsve[variant] = float("nan")
-            continue
-        perr = [np.linalg.norm(t.final[0] - truth_p) for t in kept]
-        verr = [np.linalg.norm(t.final[1] - truth_v) for t in kept]
-        rmspe[variant] = rms(perr)
-        rmsve[variant] = rms(verr)
+        rmspe[variant], rmsve[variant], _ = _stage_rms(tlist, "6D", truth_p,
+                                                       truth_v)
     return CellResult(truth_p=truth_p, rmspe=rmspe, rmsve=rmsve,
                       mean_snr_db=mean_snr,
                       run_count=len(next(iter(traces.values()))),
@@ -331,7 +276,7 @@ def aoi_sweep(config):
     points = config.aoi.grid_points()
 
     def one_point(index, truth_p):
-        traces, mean_snr, _ = _point_traces(config, truth_p, index)
+        traces, mean_snr = _point_traces(config, truth_p, index)
         return _cell_from_traces(truth_p, traces, mean_snr, config.truth_v)
 
     return _map_points(config, one_point, points)
@@ -349,11 +294,11 @@ def line_sweep(config, y_fixed, z_fixed, x_points):
     points = [np.array([x, y_fixed, z_fixed]) for x in x_points]
 
     def one_point(index, truth_p):
-        traces, mean_snr, skipped = _point_traces(config, truth_p, index)
+        traces, mean_snr = _point_traces(config, truth_p, index)
         return PointResult(truth_p=truth_p,
                            d_r=float(np.linalg.norm(truth_p)),
                            traces=traces, mean_snr_db=mean_snr,
-                           skipped=skipped)
+                           skipped=_skipped(traces))
 
     return _map_points(config, one_point, points)
 
@@ -367,19 +312,14 @@ def line_table(results, truth_v):
     rows = []
     for res in results:
         for variant, tlist in res.traces.items():
-            kept = [t for t in tlist if not _trial_skipped(t)]
-            if not kept:
-                continue
-            stages = [rec.stage for rec in kept[0].records]
-            for stage in stages:
-                perr = [np.linalg.norm(t.stage_named(stage).p - res.truth_p)
-                        for t in kept]
-                verr = [np.linalg.norm(t.stage_named(stage).v - truth_v)
-                        for t in kept]
-                rows.append({"d_r": res.d_r, "variant": variant,
-                             "stage": stage,
-                             "label": stage_label(variant, stage),
-                             "rmspe_m": rms(perr), "rmsve_mps": rms(verr),
-                             "runs": len(kept),
-                             "skipped": len(tlist) - len(kept)})
+            for stage in [rec.stage for rec in tlist[0].records]:
+                rmspe, rmsve, runs = _stage_rms(tlist, stage, res.truth_p,
+                                                truth_v)
+                if runs:
+                    rows.append({"d_r": res.d_r, "variant": variant,
+                                 "stage": stage,
+                                 "label": stage_label(variant, stage),
+                                 "rmspe_m": rmspe, "rmsve_mps": rmsve,
+                                 "runs": runs,
+                                 "skipped": len(tlist) - runs})
     return rows

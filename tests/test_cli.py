@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from risloc.cli import (EXIT_CONFIG, EXIT_GEOMETRY, EXIT_OK, build_grid,
-                        build_parser, build_scenario, config_hash,
-                        effective_config, load_config, main)
+from risloc.cli import (EXIT_CONFIG, EXIT_GEOMETRY, EXIT_OK, build_experiment,
+                        build_grid, build_parser, build_scenario, config_hash,
+                        effective_config, load_config, main, write_trace)
 from risloc.errors import ConfigError
+from risloc.harness import _point_traces
 
 FAST_CONFIG = """
 scenario:
@@ -115,6 +118,21 @@ class TestCliExitCodes:
         assert f"{flag[2:]} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags", [["--runs", "5"], ["--threads", "3"],
+                                       ["--variant", "gs-nf",
+                                        "--variant", "gs-ff"]])
+    def test_single_rejects_flags_it_cannot_honour(self, flags, cfg_path,
+                                                   tmp_path, capsys):
+        argv = ["single", "--config", cfg_path,
+                "--out", str(tmp_path / "out"), "--truth-p", "2", "0", "-0.5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == EXIT_CONFIG
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert build_parser().parse_args(
+            argv + ["--variant", "gs-ff"]).variant == ["gs-ff"]
+
     @pytest.mark.parametrize("phases", ["[-15.0]", "[0.0, 90.0, 180.0]",
                                         "[30.0, 30.0]"])
     def test_reflection_set_not_two_values_exits_2(self, phases, tmp_path,
@@ -189,6 +207,19 @@ class TestSingle:
         assert run_hash("b", "--noiseless") == noiseless
         # --seed 3 restates the file's seed_base: same effective config.
         assert run_hash("c", "--seed", "3") == plain
+
+    def test_trace_matches_sweep_trial(self, cfg_path, tmp_path):
+        argv = ["single", "--config", cfg_path, "--out", str(tmp_path / "out"),
+                "--truth-p", "2", "0", "-0.5"]
+        assert main(argv) == EXIT_OK
+        config = build_experiment(load_config(cfg_path),
+                                  build_parser().parse_args(argv))
+        traces, _ = _point_traces(dataclasses.replace(config,
+                                                      variants=("gs-nf",)),
+                                  np.array([2.0, 0.0, -0.5]), 0)
+        write_trace(traces["gs-nf"][0], str(tmp_path / "sweep_trace.txt"))
+        assert (tmp_path / "out" / "trace.txt").read_bytes() == \
+            (tmp_path / "sweep_trace.txt").read_bytes()
 
 
 class TestSweeps:

@@ -58,9 +58,6 @@ class TestCompositeRis:
     def test_min_spacing_respected(self, layout):
         assert pdist(layout.cell_centers).min() >= DEFAULT_CELL_SPACING - 1e-9
 
-    def test_reference_point_is_origin(self, layout):
-        assert np.all(layout.reference_point == 0.0)
-
     def test_overlapping_tiles_rejected(self):
         with pytest.raises(OverlapError):
             build_composite_ris(tile_offsets=[(0, 0)] * 4)

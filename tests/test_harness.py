@@ -3,11 +3,12 @@ import pytest
 
 from risloc import estimator
 from risloc.errors import EmptyInput, SingularSystemError, ZeroModelError
-from risloc.estimator import EstimateTrace, GridSpec
+from risloc.estimator import EstimateTrace, GridSpec, estimate
 from risloc.harness import (AoiSpec, ExperimentConfig, PointResult, VARIANTS,
-                            _cell_from_traces, _point_traces, aoi_sweep,
-                            line_sweep, line_table, mix_seed, rms, run_trial,
-                            splitmix64, stage_label, trial_seeds)
+                            _cell_from_traces, _point_traces, _skipped,
+                            aoi_sweep, draw_trial, line_sweep, line_table,
+                            mix_seed, rms, splitmix64, stage_label,
+                            trial_seeds)
 
 
 def small_grid():
@@ -109,50 +110,77 @@ class TestAoiSpec:
 
 
 class TestRunTrial:
-    def test_noiseless_trial_recovers_truth(self, layout, scenario,
-                                            fast_config):
+    """One trial as drawn by draw_trial and run by _point_traces."""
+
+    def test_noiseless_trial_recovers_truth(self, layout, scenario):
         cfg = ExperimentConfig(scenario=scenario.noiseless(), layout=layout,
                                grid=small_grid(), runs=1, seed_base=3)
         truth_p = np.array([2.0, 0.0, -0.5])
-        res = run_trial(cfg, truth_p, "gs-nf", run_index=0)
+        traces, mean_snr = _point_traces(cfg, truth_p, 0)
+        trace = traces["gs-nf"][0]
+        p_fin, v_fin = trace.final
         # Noiseless but with the antenna pattern in the generative model,
         # so the floor is the simplified-model mismatch (a few mm).
-        assert res.position_error < 0.02
-        assert res.velocity_error < 0.2
-        assert not res.skipped
-        assert res.mean_snr_db == np.inf
+        assert np.linalg.norm(p_fin - truth_p) < 0.02
+        assert np.linalg.norm(v_fin - cfg.truth_v) < 0.2
+        assert not trace.failures
+        assert mean_snr == np.inf
 
     def test_deterministic_across_calls(self, fast_config):
         truth_p = np.array([1.8, 0.1, -0.5])
-        a = run_trial(fast_config, truth_p, "gs-nf", run_index=1)
-        b = run_trial(fast_config, truth_p, "gs-nf", run_index=1)
-        assert a.position_error == b.position_error
-        assert a.velocity_error == b.velocity_error
+        model_a, snaps_a = draw_trial(fast_config, truth_p, 0, 1, (True,))
+        model_b, snaps_b = draw_trial(fast_config, truth_p, 0, 1, (True,))
+        assert np.array_equal(model_a.w, model_b.w)
+        assert np.array_equal(snaps_a[True].y, snaps_b[True].y)
+        a, _ = _point_traces(fast_config, truth_p, 0)
+        b, _ = _point_traces(fast_config, truth_p, 0)
+        assert np.array_equal(a["gs-nf"][1].final[0], b["gs-nf"][1].final[0])
+        assert np.array_equal(a["gs-nf"][1].final[1], b["gs-nf"][1].final[1])
 
     def test_runs_differ_across_run_index(self, fast_config):
         truth_p = np.array([1.8, 0.1, -0.5])
-        a = run_trial(fast_config, truth_p, "gs-nf", run_index=0)
-        b = run_trial(fast_config, truth_p, "gs-nf", run_index=1)
-        assert a.position_error != b.position_error
+        model_0, snaps_0 = draw_trial(fast_config, truth_p, 0, 0, (True,))
+        model_1, snaps_1 = draw_trial(fast_config, truth_p, 0, 1, (True,))
+        assert not np.array_equal(model_0.w, model_1.w)
+        assert not np.array_equal(snaps_0[True].y, snaps_1[True].y)
+        traces, _ = _point_traces(fast_config, truth_p, 0)
+        p_0, p_1 = (t.final[0] for t in traces["gs-nf"])
+        assert np.linalg.norm(p_0 - truth_p) != np.linalg.norm(p_1 - truth_p)
 
     def test_stage_errors_cover_trace(self, fast_config):
         truth_p = np.array([1.8, 0.1, -0.5])
-        res = run_trial(fast_config, truth_p, "gs-nf", run_index=0)
-        assert set(res.stage_errors) == \
-            {rec.stage for rec in res.trace.records}
-        assert res.position_error == pytest.approx(
-            res.stage_errors["6D"][0], rel=1e-14)
+        traces, mean_snr = _point_traces(fast_config, truth_p, 0)
+        point = PointResult(truth_p=truth_p, d_r=np.linalg.norm(truth_p),
+                            traces=traces, mean_snr_db=mean_snr,
+                            skipped=_skipped(traces))
+        rows = {r["stage"]: r for r in line_table([point],
+                                                  fast_config.truth_v)}
+        for trace in traces["gs-nf"]:
+            assert list(rows) == [rec.stage for rec in trace.records]
+        final = [np.linalg.norm(t.final[0] - truth_p)
+                 for t in traces["gs-nf"]]
+        assert rows["6D"]["rmspe_m"] == pytest.approx(rms(final), rel=1e-14)
 
-    def test_batch_path_matches_single_path(self, fast_config):
+    def test_point_traces_match_streamed_estimate(self, layout, scenario):
+        # The batched, injected coarse search of a sweep and the streamed,
+        # uninjected one of `risloc single` give the same trace.
+        cfg = ExperimentConfig(scenario=scenario, layout=layout,
+                               grid=small_grid(), runs=2, seed_base=5,
+                               variants=tuple(VARIANTS))
         truth_p = np.array([1.8, 0.1, -0.5])
-        traces, _, _ = _point_traces(fast_config, truth_p, point_index=0)
-        for run in range(fast_config.runs):
-            single = run_trial(fast_config, truth_p, "gs-nf",
-                               run_index=run, point_index=0)
-            p_b, v_b = traces["gs-nf"][run].final
-            p_s, v_s = single.trace.final
-            assert np.array_equal(p_b, p_s)
-            assert np.array_equal(v_b, v_s)
+        traces, _ = _point_traces(cfg, truth_p, point_index=0)
+        for run in range(cfg.runs):
+            model, snaps = draw_trial(cfg, truth_p, 0, run, (True, False))
+            for variant, spec in VARIANTS.items():
+                alone = estimate(snaps[spec.use_pattern].y, model,
+                                 cfg.estimator_config(variant))
+                batched = traces[variant][run]
+                assert len(alone.records) == len(batched.records)
+                for a, b in zip(alone.records, batched.records):
+                    assert (a.stage, a.cost, a.iterations) == \
+                        (b.stage, b.cost, b.iterations)
+                    assert np.array_equal(a.p, b.p)
+                    assert np.array_equal(a.v, b.v)
 
 
 class TestFineTables:
@@ -173,7 +201,7 @@ class TestFineTables:
         cfg = ExperimentConfig(scenario=scenario, layout=layout,
                                grid=small_grid(), runs=3, seed_base=5,
                                variants=("gs-nf-fine", "noap", "gs-nf"))
-        traces, _, _ = _point_traces(cfg, np.array([1.8, 0.1, -0.5]), 0)
+        traces, _ = _point_traces(cfg, np.array([1.8, 0.1, -0.5]), 0)
         fine = [t for v in ("gs-nf-fine", "noap") for t in traces[v]]
         cells = {tuple(t.stage_named("GS").p) for t in fine}
         # One coarse table, then one fine table per distinct coarse cell.
