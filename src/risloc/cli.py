@@ -7,7 +7,6 @@ elevation) and meters (range).
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -82,7 +81,8 @@ def effective_config(cfg, args):
     """The YAML config with the CLI flags that change results merged in.
 
     A flag left at its default adds nothing, so a run without flags keeps
-    the hash of its file.
+    the hash of its file; so does ``--truth-v`` restating the velocity in
+    effect.
     """
     eff = {key: dict(value) if isinstance(value, dict) else value
            for key, value in cfg.items()}
@@ -91,6 +91,10 @@ def effective_config(cfg, args):
                        ("variants", args.variant)):
         if value is not None:
             experiment[key] = value
+    truth_v = getattr(args, "truth_v", None)
+    if truth_v is not None and not np.array_equal(
+            truth_v, experiment.get("truth_v_mps", DEFAULT_UE_VELOCITY)):
+        experiment["truth_v_mps"] = list(truth_v)
     for flag in ("noiseless", "no_antenna_pattern"):
         if getattr(args, flag, False):
             eff.setdefault("flags", {})[flag] = True
@@ -164,7 +168,9 @@ def build_grid(cfg):
 
 
 def build_experiment(cfg, args, noiseless=False):
-    ec = cfg.get("experiment", {})
+    """The experiment of ``cfg`` with the flags of ``args`` applied; it
+    reads :func:`effective_config`, so the manifest hashes what runs."""
+    ec = effective_config(cfg, args)["experiment"]
     aoi_cfg = ec.get("aoi", {})
     aoi = AoiSpec(
         x_min=float(_get(aoi_cfg, "x_min_m", 0.1)),
@@ -173,8 +179,7 @@ def build_experiment(cfg, args, noiseless=False):
         y_max=float(_get(aoi_cfg, "y_max_m", 1.5)),
         step=float(_get(aoi_cfg, "step_m", 0.1)),
         z=float(_get(aoi_cfg, "z_m", -0.5)))
-    variants = tuple(args.variant) if args.variant \
-        else tuple(ec.get("variants", ["gs-nf"]))
+    variants = tuple(ec.get("variants", ["gs-nf"]))
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}; "
@@ -187,10 +192,8 @@ def build_experiment(cfg, args, noiseless=False):
             aoi=aoi,
             truth_v=np.asarray(ec.get("truth_v_mps", DEFAULT_UE_VELOCITY),
                                dtype=float),
-            runs=args.runs if args.runs is not None
-            else int(ec.get("runs", 25)),
-            seed_base=args.seed if args.seed is not None
-            else int(ec.get("seed_base", 1)),
+            runs=int(ec.get("runs", 25)),
+            seed_base=int(ec.get("seed_base", 1)),
             variants=variants,
             threads=args.threads)
     except ValueError as exc:
@@ -230,14 +233,15 @@ def write_trace(trace, path):
 def cmd_single(args):
     cfg = load_config(args.config)
     config = build_experiment(cfg, args, noiseless=args.noiseless)
-    if args.truth_v:
-        config = dataclasses.replace(
-            config, truth_v=np.asarray(args.truth_v, dtype=float))
+    if len(config.variants) != 1:
+        raise ConfigError(
+            f"single runs one variant; experiment.variants lists "
+            f"{len(config.variants)} (choose one with --variant)")
     truth_p = np.asarray(args.truth_p, dtype=float)
     if truth_p[0] <= 0:
         raise GeometryError("truth position must be in the front "
                             "half-space (x > 0)")
-    variant = args.variant[0] if args.variant else "gs-nf"
+    variant, = config.variants
     use_pattern = VARIANTS[variant].use_pattern \
         and not args.no_antenna_pattern
 

@@ -18,10 +18,13 @@ builder yields the table exp(j phi_nm) b_m in chunks of real re/im
 planes, with the hypothesized RIS-UE phase phi and the known BS phase b
 folded in. The reflection set has exactly two values, so the codebook is
 an offset plus a +/-1 sign matrix up to a common factor, which the
-projection cost ignores: the scorer is a handful of real GEMMs.
-Sweeps cache the coarse tables per (grid, layout, BS position) and score
-many snapshots per pass; one-shot searches stream the chunks and keep
-nothing. Fine tables are kept one at a time.
+projection cost ignores. The scorer bounds every candidate's score from
+above with a few real GEMMs against a K-direction basis that spans the
+snapshots, then rescores in double precision only the candidates whose
+bound reaches the best score, so every winner is the grid's exact
+optimum. Sweeps cache the coarse tables per (grid, layout, BS position)
+and score many snapshots per pass; one-shot searches stream the chunks
+and keep nothing. Fine tables are kept one at a time.
 """
 
 import threading
@@ -34,12 +37,30 @@ import numpy as np
 from .errors import OriginError, SingularSystemError, ZeroModelError
 from .geometry import SphericalCoord, spherical_to_cartesian
 
-# Grids larger than this (candidates x cells) are scored in single
-# precision; small toy grids stay in double so brute-force comparisons
-# are exact.
+# Sets only the dtype of the tables the grid searches' bound pass reads:
+# tables larger than this (candidates x cells) are built in single
+# precision. Every winner is still picked in double precision (see
+# _best_candidates).
 _SINGLE_PRECISION_THRESHOLD = 4_000_000
 
 _CHUNK_ROWS = 16384
+
+#: Real directions per model in the basis of the bound pass: the real and
+#: imaginary parts of the model's snapshots, then the leading
+#: eigenvectors of the Gram matrix of its responses.
+_BOUND_DIRECTIONS = 8
+
+#: Slack of the bound pass, in unit roundoffs u of the table dtype, times
+#: ||y||^2. A table entry exp(j phi) comes from a phase argument of up to
+#: ~150 rad, so it is off by up to ~150 u; bounds and the floor's scores
+#: are quadratic in the entries (2x), and a row's entry errors can add up
+#: to a few times their share of ||h||: some 1000 u in all. 2048 u
+#: (1.2e-4 in float32, 2.3e-13 in float64) covers this with margin.
+_BOUND_SLACK_ROUNDOFFS = 2048
+
+#: Rows rebuilt in double precision per block of the rescoring pass, so
+#: that its temporaries stay a small share of one bound-pass chunk's.
+_RESCORE_ROWS = 2048
 
 _CACHE_BYTES_LIMIT = 2_400_000_000
 
@@ -265,8 +286,9 @@ def projection_cost(y, h):
 
 #: Candidate coordinates (az rad, el rad, r m) and positions (m) plus the
 #: steering table as chunks of ``dtype`` from :func:`_table_chunks`: a list
-#: when cached, a generator when streamed.
-_Table = namedtuple("_Table", "coords positions chunks dtype")
+#: when cached, a generator when streamed. ``far_field`` tables hold unit
+#: directions without ranges.
+_Table = namedtuple("_Table", "coords positions chunks dtype far_field")
 
 
 class _TableCache:
@@ -341,7 +363,7 @@ def _table(model, num_rows, candidates, cache=None, key=None):
         coords, positions, ranges = candidates()
         chunks = _table_chunks(positions, ranges, model, dtype)
         return _Table(coords, positions, chunks if stream else list(chunks),
-                      dtype)
+                      dtype, ranges is None)
 
     if cache is None:
         return build(stream=True)
@@ -400,47 +422,164 @@ def _check_entries(entries):
                                  "and BS position")
 
 
+def _bound_basis(model, ys, k):
+    """Real orthonormal (L, k) basis of the bound pass: the real and
+    imaginary parts of the snapshots ``ys`` first, then the leading
+    eigenvectors of Re(S'^T conj(S')), S' = signs + offset, along which
+    the responses S'^T t of table rows t of unit entries carry the most
+    energy."""
+    ys = np.transpose(ys)
+    sp = model.signs + model.offset
+    _, vecs = np.linalg.eigh((sp.T @ sp.conj()).real)
+    q, _ = np.linalg.qr(np.column_stack([ys.real, ys.imag, vecs[:, ::-1]]))
+    return q[:, :k]
+
+
+def _scores(h, y):
+    """|h^H y|^2 / ||h||^2 of each row of ``h`` against ``y``, the
+    trailing axis being the sample axis."""
+    num = np.abs(np.sum(h.conj() * y, axis=-1)) ** 2
+    den = np.sum(h.real ** 2 + h.imag ** 2, axis=-1)
+    return num / np.maximum(den, np.finfo(float).tiny)
+
+
+class _BoundPass:
+    """Both passes of :func:`_best_candidates` for a batch of T (model,
+    snapshots) entries, their snapshots padded to J per model.
+
+    Pass 1 (:meth:`add_chunk`) keeps a floor under each snapshot's best
+    score, from the exact score of its best-bounded row per chunk, and the
+    candidates whose bound still reaches it. Pass 2 (:meth:`winners`)
+    rescores those in double precision.
+    """
+
+    def __init__(self, entries, dtype):
+        self.models = [model for model, _ in entries]
+        self.counts = [len(ys) for _, ys in entries]
+        num_samples = self.models[0].num_samples
+        j = max(self.counts)
+        k = min(num_samples, max(_BOUND_DIRECTIONS, 2 * j))
+        self.ys = np.zeros((len(entries), j, num_samples), dtype=complex)
+        for t, (_, ys) in enumerate(entries):
+            self.ys[t, :len(ys)] = ys
+        self.sp = np.stack([m.signs + m.offset for m in self.models])
+        qs = [_bound_basis(m, ys, k) for m, ys in entries]
+        # z = Q^T h = Q^T S^T t + rowsum(t) s, s = offset Q^T 1, for a
+        # table row t. Re(s) folds into the GEMM, Im(s) mixes the planes:
+        # zr = re P - Im(rowsum) Im(s), zi = im P + Re(rowsum) Im(s) with
+        # P = S Q + 1 Re(s)^T, stacked over the models as columns of p.
+        s_vec = np.concatenate([m.offset * q.sum(axis=0)
+                                for m, q in zip(self.models, qs)])
+        self.p = (np.concatenate([m.signs @ q
+                                  for m, q in zip(self.models, qs)], axis=1)
+                  + s_vec.real).astype(dtype)               # (M, T K)
+        self.shift = s_vec.imag.astype(dtype)
+        c = np.stack([q.T @ y.T for q, y in zip(qs, self.ys)])  # (T, K, J)
+        self.c = np.concatenate([c.real, c.imag], axis=2).transpose(
+            0, 2, 1).astype(dtype)                          # (T, 2J, K)
+        roundoff = np.finfo(dtype).eps / 2
+        self.slack = _BOUND_SLACK_ROUNDOFFS * roundoff \
+            * np.sum(np.abs(self.ys) ** 2, axis=2)
+        # Padding snapshots never keep a candidate.
+        self.floor = np.where(
+            np.arange(j)[None, :] < np.array(self.counts)[:, None],
+            -np.inf, np.inf)
+        self.idx = np.empty(0, dtype=int)
+        self.unit = np.empty(0, dtype=int)   # t * J + snapshot
+        self.bound = np.empty(0)
+
+    def bounds(self, re, im, rowsum):
+        """(T, J, n) bounds |z^H c|^2 / ||z||^2 of a chunk's n rows."""
+        (t, j2, k), n = self.c.shape, len(re)
+        j = j2 // 2
+        zr = np.ascontiguousarray((re @ self.p).T)       # (T K, n)
+        zi = np.ascontiguousarray((im @ self.p).T)
+        zr -= np.multiply.outer(self.shift, rowsum.imag)
+        zi += np.multiply.outer(self.shift, rowsum.real)
+        zr, zi = zr.reshape(t, k, n), zi.reshape(t, k, n)
+        a = self.c @ zr                                   # (T, 2J, n)
+        b = self.c @ zi
+        den = np.einsum("tkn,tkn->tn", zr, zr) \
+            + np.einsum("tkn,tkn->tn", zi, zi)
+        np.maximum(den, np.finfo(den.dtype).tiny, out=den)
+        return ((a[:, :j] + b[:, j:]) ** 2
+                + (b[:, :j] - a[:, j:]) ** 2) / den[:, None, :]
+
+    def add_chunk(self, re, im, rowsum, start):
+        """Bound the rows of a chunk that starts at row ``start``, raise
+        the floors and keep the rows that can still win."""
+        bound = self.bounds(re, im, rowsum)
+        j = bound.shape[1]
+        top = np.argmax(bound, axis=2)                    # (T, J)
+        h = (re[top].astype(float) + 1j * im[top]) @ self.sp
+        self.floor = np.maximum(self.floor,
+                                _scores(h, self.ys) - self.slack)
+        reach = self.floor - self.slack
+        ts, js, rows = np.nonzero(bound >= reach[:, :, None])
+        idx = np.concatenate([self.idx, start + rows])
+        unit = np.concatenate([self.unit, ts * j + js])
+        bnd = np.concatenate([self.bound, bound[ts, js, rows]])
+        keep = bnd >= reach.flat[unit]
+        self.idx, self.unit, self.bound = idx[keep], unit[keep], bnd[keep]
+
+    def winners(self, table):
+        """Per entry, the winning index of each snapshot: the best
+        double-precision score among its kept candidates, visited by
+        falling bound in blocks of _RESCORE_ROWS until no remaining bound
+        reaches the best score; lowest index on ties."""
+        j = self.ys.shape[1]
+        return [[self._rescore(table, t, snap, t * j + snap)
+                 for snap in range(count)]
+                for t, count in enumerate(self.counts)]
+
+    def _rescore(self, table, t, snap, unit):
+        model, y = self.models[t], self.ys[t, snap]
+        mine = self.unit == unit
+        idx, bound = self.idx[mine], self.bound[mine]
+        order = np.argsort(-bound, kind="stable")
+        best, best_i = -np.inf, None
+        for lo in range(0, len(order), _RESCORE_ROWS):
+            block = order[lo:lo + _RESCORE_ROWS]
+            if bound[block[0]] + self.slack.flat[unit] < best:
+                break
+            rows = idx[block]
+            ranges = None if table.far_field else table.coords[rows, 2]
+            (re, im, rowsum), = _table_chunks(
+                table.positions[rows], ranges, model, np.float64)
+            h = re @ model.signs + 1j * (im @ model.signs) \
+                + rowsum[:, None] * model.offset
+            score = _scores(h, y)
+            top = score.max()
+            i = int(rows[score == top].min())
+            if top > best or (top == best and i < best_i):
+                best, best_i = top, i
+        return best_i
+
+
 def _best_candidates(table, entries):
     """Score (model, snapshots) entries against a table.
 
     Returns the winning global candidate index per snapshot, grouped per
-    entry; ties break to the lowest index. Per chunk, two real GEMMs with
-    the models' stacked sign matrices give every response, and two more
-    with each model's snapshots, stacked as [Re y, Im y], give h^H y.
+    entry: the double-precision argmax of |h^H y|^2 / ||h||^2, lowest
+    index on ties.
+
+    Pass 1 bounds every candidate in the table's dtype. Per model, a real
+    orthonormal basis Q (L x K) spans the snapshots, so h^H y = z^H c with
+    z = Q^T h and c = Q^T y, and |z^H c|^2 / ||z||^2 bounds the score from
+    above because ||z|| <= ||h||. With h = S'^T t for a table row t, two
+    real GEMMs of each chunk's planes with the stacked S Q of all models,
+    plus the offset times the row sums, give every z. Pass 2 rescores the
+    candidates whose bound reaches the best score (see
+    :class:`_BoundPass`).
     """
-    dtype = table.dtype
-    num_samples = entries[0][0].num_samples
-    signs = np.concatenate([m.signs for m, _ in entries], axis=1).astype(dtype)
-    offsets = np.array([m.offset for m, _ in entries],
-                       dtype=np.result_type(dtype, np.complex64))
-    y_stacks = [np.concatenate([np.real(ys).T, np.imag(ys).T],
-                               axis=1).astype(dtype) for _, ys in entries]
-    best_val = [np.full(len(ys), -np.inf) for _, ys in entries]
-    best_idx = [np.zeros(len(ys), dtype=int) for _, ys in entries]
+    bound_pass = _BoundPass(entries, table.dtype)
     start = 0
     for re, im, rowsum in table.chunks:
-        n = len(re)
-        shift = rowsum[:, None] * offsets[None, :]
-        hr = (re @ signs).reshape(n, len(entries), num_samples)
-        hi = (im @ signs).reshape(n, len(entries), num_samples)
-        hr += shift.real[:, :, None]
-        hi += shift.imag[:, :, None]
-        den = np.einsum("ntl,ntl->nt", hr, hr) \
-            + np.einsum("ntl,ntl->nt", hi, hi)
-        np.maximum(den, np.finfo(dtype).tiny, out=den)
-        for t, y_stack in enumerate(y_stacks):
-            k = y_stack.shape[1] // 2
-            a = hr[:, t, :] @ y_stack
-            b = hi[:, t, :] @ y_stack
-            val = ((a[:, :k] + b[:, k:]) ** 2
-                   + (a[:, k:] - b[:, :k]) ** 2) / den[:, t:t + 1]
-            i = np.argmax(val, axis=0)
-            top = val[i, np.arange(k)]
-            better = top > best_val[t]
-            best_val[t][better] = top[better]
-            best_idx[t][better] = start + i[better]
-        start += n
-    return [idx.tolist() for idx in best_idx]
+        bound_pass.add_chunk(re, im, rowsum, start)
+        start += len(re)
+    # The loop variables hold the last chunk; free it before pass 2.
+    del re, im, rowsum
+    return bound_pass.winners(table)
 
 
 def _search(table, entries):

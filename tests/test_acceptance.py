@@ -58,6 +58,7 @@ def _one(table, **match):
     return rows[0]
 
 
+@pytest.mark.slow
 def test_criterion_1_headline_accuracy(sweep):
     _, _, table = sweep
     row = _one(table, d_r=2.0, variant="gs-nf", stage="6D")
@@ -76,6 +77,7 @@ def test_criterion_2_fraunhofer_distance():
     _report(2, "Fraunhofer distance", f"d_F = {d_f:.2f} m vs 16.3 m +-5%")
 
 
+@pytest.mark.slow
 def test_criterion_3_nf_beats_ff_at_short_range(sweep):
     _, _, table = sweep
     checked = []
@@ -92,6 +94,7 @@ def test_criterion_3_nf_beats_ff_at_short_range(sweep):
                       f"{b * 1e3:.1f} mm" for d, a, b in checked))
 
 
+@pytest.mark.slow
 def test_criterion_4_stage_monotonicity(sweep):
     config, results, table = sweep
     total = 0
@@ -121,6 +124,7 @@ def test_criterion_4_stage_monotonicity(sweep):
             "per-point RMS errors non-increasing across stages")
 
 
+@pytest.mark.slow
 def test_criterion_5_fine_grid_search_redundant(sweep):
     _, _, table = sweep
     details = []
@@ -135,6 +139,7 @@ def test_criterion_5_fine_grid_search_redundant(sweep):
             "across all line points")
 
 
+@pytest.mark.slow
 def test_criterion_6_antenna_pattern_ablation(sweep):
     _, _, table = sweep
     for d_r in LINE_RANGES:
@@ -146,6 +151,7 @@ def test_criterion_6_antenna_pattern_ablation(sweep):
             "6D-noAP RMSPE <= 6D RMSPE at every line point")
 
 
+@pytest.mark.slow
 def test_criterion_7_short_range_velocity_degradation(sweep):
     _, _, table = sweep
     near = _one(table, d_r=0.8, variant="gs-nf", stage="6D")["rmsve_mps"]
@@ -247,6 +253,7 @@ class TestCriterion8Properties:
             for seed in range(2500)])
         assert np.mean(np.abs(noise) ** 2) == pytest.approx(p_n, rel=0.02)
 
+    @pytest.mark.slow
     def test_aoi_subgrid_trend_and_thread_reproducibility(self):
         aoi = AoiSpec(x_min=1.1, x_max=3.1, y_min=-1.0, y_max=1.0,
                       step=0.5, z=-0.5)

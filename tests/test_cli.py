@@ -208,6 +208,54 @@ class TestSingle:
         # --seed 3 restates the file's seed_base: same effective config.
         assert run_hash("c", "--seed", "3") == plain
 
+    def test_truth_v_enters_hash(self, tmp_path):
+        path = tmp_path / "v.yaml"
+        path.write_text(FAST_CONFIG.replace(
+            "experiment:\n", "experiment:\n  truth_v_mps: [1, 0, 0]\n"))
+        cfg = load_config(str(path))
+        argv = ["single", "--config", str(path), "--out", str(tmp_path),
+                "--truth-p", "2", "0", "-0.5"]
+
+        def run(*flags):
+            args = build_parser().parse_args(argv + list(flags))
+            return (config_hash(effective_config(cfg, args)),
+                    build_experiment(cfg, args).truth_v.tolist())
+
+        plain = run()
+        assert plain == (config_hash(cfg), [1.0, 0.0, 0.0])
+        # Restating the file's velocity keeps its hash.
+        assert run("--truth-v", "1", "0", "0") == plain
+        moved = run("--truth-v", "0", "1.5", "0")
+        assert moved[0] != plain[0]
+        assert moved[1] == [0.0, 1.5, 0.0]
+
+    def test_file_variant_runs(self, tmp_path):
+        path = tmp_path / "fine.yaml"
+        path.write_text(FAST_CONFIG.replace(
+            "experiment:\n", "experiment:\n  variants: [gs-nf-fine]\n"))
+        out = tmp_path / "out"
+        assert main(["single", "--config", str(path), "--out", str(out),
+                     "--truth-p", "2", "0", "-0.5"]) == EXIT_OK
+        stages = [ln.split()[0] for ln in
+                  (out / "trace.txt").read_text().splitlines()
+                  if not ln.startswith("#")]
+        assert stages == ["GS", "GS-fine", "CF", "6D"]
+
+    def test_several_file_variants_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "two.yaml"
+        path.write_text(FAST_CONFIG.replace(
+            "experiment:\n", "experiment:\n  variants: [gs-nf, noap]\n"))
+        out = tmp_path / "out"
+        rc = main(["single", "--config", str(path), "--out", str(out),
+                   "--truth-p", "2", "0", "-0.5"])
+        assert rc == EXIT_CONFIG
+        assert "experiment.variants lists 2" in capsys.readouterr().err
+        assert not out.exists()
+        # --variant picks one of them.
+        assert main(["single", "--config", str(path), "--out", str(out),
+                     "--truth-p", "2", "0", "-0.5",
+                     "--variant", "noap"]) == EXIT_OK
+
     def test_trace_matches_sweep_trial(self, cfg_path, tmp_path):
         argv = ["single", "--config", cfg_path, "--out", str(tmp_path / "out"),
                 "--truth-p", "2", "0", "-0.5"]

@@ -16,7 +16,7 @@ from risloc.estimator import (EstimatorConfig, GridSpec, _solve_displacement,
                               refine_loop, steering_vector)
 from risloc.geometry import SphericalCoord, spherical_to_cartesian
 
-from conftest import toy_layout
+from conftest import brute_force_costs, grid_coord, toy_layout
 
 def toy_model(num_cells=5, num_samples=4, seed=0):
     layout = toy_layout(num_cells=num_cells, seed=seed)
@@ -228,6 +228,108 @@ class TestNfGridSearch:
                         wavelength=model.wavelength,
                         sample_time=model.sample_time,
                         num_samples=model.num_samples)
+
+
+class TestBoundRescore:
+    """The grid searches' bound pass and double-precision rescoring."""
+
+    @staticmethod
+    def bounds_and_scores(model, ys, points, ranges):
+        from risloc.estimator import _BoundPass, _table_chunks
+        (re, im, rowsum), = _table_chunks(points, ranges, model, np.float64)
+        bounds = _BoundPass([(model, ys)], np.float64).bounds(re, im, rowsum)
+        h = re @ model.signs + 1j * (im @ model.signs) \
+            + rowsum[:, None] * model.offset
+        scores = np.abs(h.conj() @ np.transpose(ys)).T ** 2 \
+            / np.sum(np.abs(h) ** 2, axis=1)
+        return bounds[0], scores
+
+    @pytest.mark.parametrize("phases_deg", [(-15.0, 165.0), (0.0, 90.0)])
+    def test_bound_equals_score_when_basis_spans_samples(self, phases_deg):
+        # Four samples, K = 8 >= L: Q spans the sample space, so
+        # ||Q^T h|| = ||h||. (0, 90) deg gives the codebook an offset of j.
+        scenario = default_scenario(num_samples=4, reflection_set=tuple(
+            np.exp(1j * np.deg2rad(phases_deg))))
+        layout = toy_layout(num_cells=5, seed=3)
+        cb = draw_codebook(5, 4, scenario.reflection_set, seed=4)
+        model = build_steering_model(layout, cb, scenario)
+        rng = np.random.default_rng(8)
+        ys = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        points = rng.uniform([0.3, -1.0, -1.0], [2.0, 1.0, 1.0], (50, 3))
+        bounds, scores = self.bounds_and_scores(
+            model, ys, points, np.linalg.norm(points, axis=1))
+        assert np.allclose(bounds, scores, rtol=1e-10, atol=0)
+
+    def test_bound_never_below_score(self, layout, scenario, model):
+        rng = np.random.default_rng(9)
+        y_signal = steering_vector(model, np.array([1.5, 0.2, -0.5]),
+                                   np.zeros(3))
+        ys = [y_signal + 0.1 * (rng.standard_normal(40)
+                                + 1j * rng.standard_normal(40)),
+              rng.standard_normal(40) + 1j * rng.standard_normal(40)]
+        points = rng.uniform([0.3, -1.0, -1.0], [2.0, 1.0, 1.0], (400, 3))
+        bounds, scores = self.bounds_and_scores(
+            model, ys, points, np.linalg.norm(points, axis=1))
+        assert np.all(bounds >= scores * (1 - 1e-12))
+        assert np.mean(bounds > scores * 1.01) > 0.5   # K < L: not tight
+
+    @pytest.mark.slow
+    def test_default_grid_matches_double_brute_force(self, monkeypatch):
+        # A line trial at 2 m and a pure-noise snapshot, where thousands
+        # of candidates survive the bound pass and are rescored in blocks.
+        from risloc import estimator
+        from risloc.harness import ExperimentConfig, draw_trial
+        model, snaps = draw_trial(ExperimentConfig(seed_base=1),
+                                  np.array([np.sqrt(3.75), 0.0, -0.5]),
+                                  4, 3, (True,))
+        rng = np.random.default_rng(0)
+        noise = np.sqrt(np.mean(np.abs(snaps[True].y) ** 2) / 2) * (
+            rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        ys = [snaps[True].y, noise]
+        grid = default_coarse_grid()
+        costs = brute_force_costs(ys, model, grid)
+        expect = [(grid_coord(grid, i), c[i])
+                  for c, i in zip(costs, np.argmin(costs, axis=1))]
+        blocks = []
+        build = estimator._table_chunks
+
+        def counting_build(points, ranges, model, dtype):
+            if len(points) <= estimator._RESCORE_ROWS:
+                blocks.append(len(points))
+            return build(points, ranges, model, dtype)
+
+        monkeypatch.setattr(estimator, "_table_chunks", counting_build)
+        for cache in (False, True):
+            got = nf_grid_search_batch([(model, ys)], grid, cache=cache)[0]
+            for (coord, cost), (want, want_cost) in zip(got, expect):
+                assert coord == want
+                assert cost == pytest.approx(want_cost, rel=1e-9)
+        # The noise snapshot rescored more than one block on each pass.
+        assert sum(blocks) > 2 * 2 * estimator._RESCORE_ROWS
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("d_r, variant, run", [
+        (1.2, "gs-nf-fine", 16), (1.4, "noap", 14), (2.0, "gs-nf-fine", 0),
+        (1.4, "gs-nf-fine", 4)])
+    def test_fine_near_ties_of_acceptance_sweep(self, d_r, variant, run):
+        # Fine trials of the acceptance line sweep (seed_base 1) where a
+        # single-precision fine search missed the grid optimum by a
+        # relative cost of 6e-6 to 4.5e-5.
+        from risloc.harness import VARIANTS, ExperimentConfig, draw_trial
+        point = (0.8, 1.0, 1.2, 1.4, 2.0).index(d_r)
+        pattern = VARIANTS[variant].use_pattern
+        model, snaps = draw_trial(
+            ExperimentConfig(seed_base=1),
+            np.array([np.sqrt(d_r ** 2 - 0.25), 0.0, -0.5]), point, run,
+            (pattern,))
+        y = snaps[pattern].y
+        coarse, _ = nf_grid_search_batch([(model, [y])],
+                                         default_coarse_grid())[0][0]
+        spec = fine_grid_spec(coarse)
+        costs = brute_force_costs([y], model, spec)[0]
+        got, cost = nf_fine_grid_search(y, model, coarse)
+        assert got == grid_coord(spec, np.argmin(costs))
+        assert cost == pytest.approx(costs.min(), rel=1e-9)
 
 
 class TestFineGridSearch:

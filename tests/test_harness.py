@@ -190,7 +190,12 @@ class TestFineTables:
         build = estimator._table_chunks
 
         def counting_build(points, ranges, model, dtype):
-            builds.append(len(points))
+            # Rescoring rebuilds candidates in double precision, at most
+            # _RESCORE_ROWS at a time; a table build covers a whole grid.
+            if len(points) > estimator._RESCORE_ROWS:
+                builds.append(len(points))
+            else:
+                assert dtype == np.float64
             return build(points, ranges, model, dtype)
 
         monkeypatch.setattr(estimator, "_table_chunks", counting_build)
