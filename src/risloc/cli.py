@@ -273,14 +273,15 @@ def cmd_sweep_aoi(args):
     start = time.time()
     os.makedirs(args.out, exist_ok=True)
     results = aoi_sweep(config)
-    lines = ["# x_m y_m variant rmspe_m rmsve_mps mean_snr_db runs skipped"]
+    lines = ["# x_m y_m variant rmspe_m rmsve_mps mean_snr_db runs skipped "
+             "in_coverage"]
     for cell in results:
         for variant in config.variants:
             lines.append(
                 f"{cell.truth_p[0]:.9g} {cell.truth_p[1]:.9g} {variant} "
                 f"{cell.rmspe[variant]:.9g} {cell.rmsve[variant]:.9g} "
                 f"{cell.mean_snr_db:.9g} {cell.run_count} "
-                f"{cell.skipped[variant]}")
+                f"{cell.skipped[variant]} {int(cell.in_coverage)}")
     atomic_write(os.path.join(args.out, "aoi_results.txt"),
                  "\n".join(lines) + "\n")
     write_manifest(args.out, cfg, args, config, "sweep-aoi",

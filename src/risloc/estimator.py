@@ -35,7 +35,8 @@ from hashlib import sha1
 import numpy as np
 
 from .errors import OriginError, SingularSystemError, ZeroModelError
-from .geometry import SphericalCoord, spherical_to_cartesian
+from .geometry import (SphericalCoord, cartesian_to_spherical,
+                       spherical_to_cartesian)
 
 # Sets only the dtype of the tables the grid searches' bound pass reads:
 # tables larger than this (candidates x cells) are built in single
@@ -163,6 +164,14 @@ class GridSpec:
     def num_candidates(self):
         az, el, r = self.axis_values()
         return len(az) * len(el) * len(r)
+
+    def covers(self, p):
+        """Whether the direction of position ``p`` lies within the
+        azimuth and elevation axes, ends included."""
+        s = cartesian_to_spherical(p)
+        az, el, _ = self.axis_values()
+        return bool(az[0] <= np.rad2deg(s.azimuth) <= az[-1]
+                    and el[0] <= np.rad2deg(s.elevation) <= el[-1])
 
 
 def default_coarse_grid():
@@ -339,17 +348,29 @@ def _table_chunks(points, ranges, model, dtype):
     ones = np.ones(len(q), dtype=dtype)
     for lo in range(0, len(points), _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, len(points))
-        pq = points[lo:hi].astype(dtype) @ q.T
+        # Every step works in place on the (rows, cells) product, so no
+        # more than two such arrays are alive at any time.
+        phase = points[lo:hi].astype(dtype) @ q.T           # p.q
         if ranges is None:
-            phase = k0 * pq
+            phase *= k0
         else:
-            delta = nq2[None, :] - 2.0 * pq                  # d^2 - r^2
+            phase *= -2.0
+            phase += nq2                                    # d^2 - r^2
             r_blk = ranges[lo:hi, None].astype(dtype)
-            dist = np.sqrt(np.maximum(r_blk ** 2 + delta, 0.0))
-            phase = -k0 * delta / (dist + r_blk)
+            dist = r_blk ** 2 + phase
+            np.maximum(dist, 0.0, out=dist)
+            np.sqrt(dist, out=dist)
+            dist += r_blk
+            phase *= -k0
+            phase /= dist
+            del dist
         phase += bs_phase
-        re, im = np.cos(phase), np.sin(phase)
+        re = np.cos(phase)
+        im = np.sin(phase, out=phase)
+        del phase
         yield re, im, re @ ones + 1j * (im @ ones)
+        # Drop this chunk's planes before the next one is built.
+        del re, im
 
 
 def _table(model, num_rows, candidates, cache=None, key=None):
@@ -492,15 +513,18 @@ class _BoundPass:
         """(T, J, n) bounds |z^H c|^2 / ||z||^2 of a chunk's n rows."""
         (t, j2, k), n = self.c.shape, len(re)
         j = j2 // 2
-        zr = np.ascontiguousarray((re @ self.p).T)       # (T K, n)
-        zi = np.ascontiguousarray((im @ self.p).T)
-        zr -= np.multiply.outer(self.shift, rowsum.imag)
-        zi += np.multiply.outer(self.shift, rowsum.real)
-        zr, zi = zr.reshape(t, k, n), zi.reshape(t, k, n)
-        a = self.c @ zr                                   # (T, 2J, n)
-        b = self.c @ zi
-        den = np.einsum("tkn,tkn->tn", zr, zr) \
-            + np.einsum("tkn,tkn->tn", zi, zi)
+        # The GEMM outputs stay (n, T K): BLAS reads each model's (K, n)
+        # block through a strided view, where copying them to (T K, n)
+        # would move as many bytes as the GEMMs write.
+        zr = re @ self.p
+        zi = im @ self.p
+        zr -= np.multiply.outer(rowsum.imag, self.shift)
+        zi += np.multiply.outer(rowsum.real, self.shift)
+        zr, zi = zr.reshape(n, t, k), zi.reshape(n, t, k)
+        a = self.c @ zr.transpose(1, 2, 0)                # (T, 2J, n)
+        b = self.c @ zi.transpose(1, 2, 0)
+        den = np.einsum("ntk,ntk->tn", zr, zr) \
+            + np.einsum("ntk,ntk->tn", zi, zi)
         np.maximum(den, np.finfo(den.dtype).tiny, out=den)
         return ((a[:, :j] + b[:, j:]) ** 2
                 + (b[:, :j] - a[:, j:]) ** 2) / den[:, None, :]
@@ -577,8 +601,8 @@ def _best_candidates(table, entries):
     for re, im, rowsum in table.chunks:
         bound_pass.add_chunk(re, im, rowsum, start)
         start += len(re)
-    # The loop variables hold the last chunk; free it before pass 2.
-    del re, im, rowsum
+        # Free a streamed chunk before the next one is built.
+        del re, im, rowsum
     return bound_pass.winners(table)
 
 
@@ -606,6 +630,10 @@ def nf_grid_search_batch(entries, grid, cache=True):
     entry, a list of ``(SphericalCoord, cost)`` results (v assumed zero).
     With ``cache`` the table is built once and kept for later searches on
     the same grid; without, each chunk is built, scored and dropped.
+
+    One call reads the whole table once, however many entries it scores,
+    and its working set grows with their number; sweeps pass up to
+    ``harness._GROUP_MODELS`` models per call.
     """
     _check_entries(entries)
     table = _nf_table(grid, entries[0][0],

@@ -4,9 +4,12 @@ distance line sweep with algorithm-variant ablations.
 Every trial, in the sweeps and in ``risloc single`` alike, is drawn by
 :func:`draw_trial`: the codebook and noise seeds of (point, run) give the
 steering model and one snapshot per antenna-pattern setting. A sweep
-scores all snapshots of one evaluation point against the cached coarse
-grid in a single batch, which is the dominant cost; the refinement stages
-then run per trial.
+splits its points into contiguous groups of whole points, draws every
+trial of a group first and scores all their snapshots against the cached
+coarse grid in a single batch: each pass reads the whole table, so
+sharing it among the points of a group is what makes the coarse search,
+the dominant cost, cheap per trial. The refinement stages then run per
+trial.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +26,12 @@ from .estimator import (EstimatorConfig, build_steering_model,
 from .geometry import build_composite_ris
 
 _M64 = (1 << 64) - 1
+
+#: Most models (runs) scored in one coarse pass. A cached pass reads the
+#: whole coarse table whatever it scores, so its cost per model falls
+#: from 0.37 s alone to 0.13 s at 8 models and 0.11 s from 24 to 48,
+#: then rises again (2 snapshots per model, one BLAS thread; CHANGES.md).
+_GROUP_MODELS = 32
 
 
 def splitmix64(state):
@@ -141,6 +150,7 @@ class CellResult:
     mean_snr_db: float
     run_count: int
     skipped: dict            # variant -> trials left out of the RMS
+    in_coverage: bool        # truth direction inside the grid's axes
 
 
 @dataclass
@@ -190,10 +200,14 @@ def draw_trial(config, truth_p, point_index, run, patterns):
     return build_steering_model(layout, codebook, scenario), snaps
 
 
-def _point_traces(config, truth_p, point_index):
-    """Run all trials and variants at one point with a shared coarse GS.
+def _group_traces(config, truth_ps, first_index):
+    """Run all trials and variants at consecutive points with one shared
+    coarse pass.
 
-    Returns (traces, mean_snr_db) where traces maps variant -> list of
+    ``truth_ps`` are the points ``first_index``, ``first_index + 1``, ...
+    of the sweep. Every trial of every point is drawn first, then the
+    coarse searches of all of them are scored in one batch. Returns, per
+    point, (traces, mean_snr_db) where traces maps variant -> list of
     EstimateTrace over runs.
     """
     specs = {v: VARIANTS[v] for v in config.variants}
@@ -202,23 +216,26 @@ def _point_traces(config, truth_p, point_index):
     patterns = sorted({s.use_pattern for s in specs.values()}, reverse=True)
     nf_patterns = sorted({s.use_pattern for s in specs.values()
                           if s.gs_variant != "ff"}, reverse=True)
-    draws = [draw_trial(config, truth_p, point_index, run, patterns)
+    draws = [draw_trial(config, truth_p, first_index + i, run, patterns)
+             for i, truth_p in enumerate(truth_ps)
              for run in range(config.runs)]
     coarse = nf_grid_search_batch(
         [(model, [snaps[pat].y for pat in nf_patterns])
          for model, snaps in draws], config.grid) \
-        if nf_patterns else [[]] * config.runs
+        if nf_patterns else [[]] * len(draws)
 
+    # Trial k is run k % runs of point k // runs.
     trials = []
-    for run in range(config.runs):
-        run_coarse = dict(zip(nf_patterns, coarse[run]))
+    for k, draw_coarse in enumerate(coarse):
+        run_coarse = dict(zip(nf_patterns, draw_coarse))
         for v, spec in specs.items():
             init = None if spec.gs_variant == "ff" \
                 else run_coarse[spec.use_pattern]
-            trials.append((run, v, init))
+            trials.append((k, v, init))
 
     # A fine search builds one table per coarse cell; run the fine trials
-    # last, grouped by cell, so that each table is built once.
+    # last, grouped by cell across all points, so that each table is
+    # built once.
     def cell_order(trial):
         _, v, init = trial
         if specs[v].gs_variant != "nf-fine":
@@ -226,17 +243,28 @@ def _point_traces(config, truth_p, point_index):
         coord = init[0]
         return (1, coord.azimuth, coord.elevation, coord.range_m)
 
-    traces = {v: [None] * config.runs for v in specs}
-    for run, v, init in sorted(trials, key=cell_order):
-        model, snaps = draws[run]
-        traces[v][run] = estimate(snaps[specs[v].use_pattern].y, model,
-                                  config.estimator_config(v),
-                                  coarse_result=init)
+    traces = [{v: [None] * config.runs for v in specs} for _ in truth_ps]
+    for k, v, init in sorted(trials, key=cell_order):
+        model, snaps = draws[k]
+        point, run = divmod(k, config.runs)
+        traces[point][v][run] = estimate(snaps[specs[v].use_pattern].y,
+                                         model, config.estimator_config(v),
+                                         coarse_result=init)
 
-    snr = np.concatenate([snaps[patterns[0]].snr_per_sample
-                          for _, snaps in draws])
-    snr = snr[np.isfinite(snr)]
-    return traces, float(np.mean(snr)) if snr.size else np.inf
+    out = []
+    for point, point_traces in enumerate(traces):
+        snr = np.concatenate([
+            snaps[patterns[0]].snr_per_sample for _, snaps in
+            draws[point * config.runs:(point + 1) * config.runs]])
+        snr = snr[np.isfinite(snr)]
+        out.append((point_traces, float(np.mean(snr)) if snr.size
+                    else np.inf))
+    return out
+
+
+def _point_traces(config, truth_p, point_index):
+    """(traces, mean_snr_db) of one point scored on its own."""
+    return _group_traces(config, [truth_p], point_index)[0]
 
 
 def _stage_rms(tlist, stage, truth_p, truth_v):
@@ -250,7 +278,7 @@ def _stage_rms(tlist, stage, truth_p, truth_v):
             len(kept))
 
 
-def _cell_from_traces(truth_p, traces, mean_snr, truth_v):
+def _cell_from_traces(truth_p, traces, mean_snr, truth_v, in_coverage):
     """Cell of final-stage (6D) errors per variant."""
     rmspe, rmsve = {}, {}
     for variant, tlist in traces.items():
@@ -259,27 +287,45 @@ def _cell_from_traces(truth_p, traces, mean_snr, truth_v):
     return CellResult(truth_p=truth_p, rmspe=rmspe, rmsve=rmsve,
                       mean_snr_db=mean_snr,
                       run_count=len(next(iter(traces.values()))),
-                      skipped=_skipped(traces))
+                      skipped=_skipped(traces), in_coverage=in_coverage)
 
 
-def _map_points(config, fn, points):
+def _sweep_traces(config, points):
+    """(traces, mean_snr_db) of every point, in order.
+
+    The points are split into contiguous groups of whole points, each
+    scored in one coarse pass of at most _GROUP_MODELS models (a point
+    with more runs than that forms a group of its own), and into at least
+    ``config.threads`` groups so that every pool thread has one. Each
+    pool task is one group.
+    """
+    n = len(points)
+    per_group = max(1, _GROUP_MODELS // config.runs)
+    count = min(n, max(config.threads, -(-n // per_group)))
+    groups = [range(n * g // count, n * (g + 1) // count)
+              for g in range(count)]
+
+    def run(group):
+        return _group_traces(config, points[group.start:group.stop],
+                             group.start)
+
     if config.threads <= 1:
-        return [fn(i, p) for i, p in enumerate(points)]
-    # Workers share the cached grid table: the first search builds it
-    # under the cache lock while the others wait for it.
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(lambda ip: fn(*ip), enumerate(points)))
+        results = list(map(run, groups))
+    else:
+        # Workers share the cached grid table: the first search builds it
+        # under the cache lock while the others wait for it.
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            results = list(pool.map(run, groups))
+    return [res for group in results for res in group]
 
 
 def aoi_sweep(config):
     """Evaluate every AOI grid point; returns row-major CellResult list."""
     points = config.aoi.grid_points()
-
-    def one_point(index, truth_p):
-        traces, mean_snr = _point_traces(config, truth_p, index)
-        return _cell_from_traces(truth_p, traces, mean_snr, config.truth_v)
-
-    return _map_points(config, one_point, points)
+    return [_cell_from_traces(truth_p, traces, mean_snr, config.truth_v,
+                              config.grid.covers(truth_p))
+            for truth_p, (traces, mean_snr)
+            in zip(points, _sweep_traces(config, points))]
 
 
 def line_sweep(config, y_fixed, z_fixed, x_points):
@@ -292,15 +338,11 @@ def line_sweep(config, y_fixed, z_fixed, x_points):
     if any(x <= 0 for x in x_points):
         raise ValueError("x_points must be positive (front of the RIS)")
     points = [np.array([x, y_fixed, z_fixed]) for x in x_points]
-
-    def one_point(index, truth_p):
-        traces, mean_snr = _point_traces(config, truth_p, index)
-        return PointResult(truth_p=truth_p,
-                           d_r=float(np.linalg.norm(truth_p)),
-                           traces=traces, mean_snr_db=mean_snr,
-                           skipped=_skipped(traces))
-
-    return _map_points(config, one_point, points)
+    return [PointResult(truth_p=truth_p, d_r=float(np.linalg.norm(truth_p)),
+                        traces=traces, mean_snr_db=mean_snr,
+                        skipped=_skipped(traces))
+            for truth_p, (traces, mean_snr)
+            in zip(points, _sweep_traces(config, points))]
 
 
 def line_table(results, truth_v):

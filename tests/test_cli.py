@@ -297,8 +297,10 @@ class TestSweeps:
             assert rc == EXIT_OK
         text_a = (out_a / "aoi_results.txt").read_text()
         assert text_a == (out_b / "aoi_results.txt").read_text()
-        rows = [ln for ln in text_a.splitlines() if not ln.startswith("#")]
+        header, *rows = text_a.splitlines()
         assert len(rows) == 3  # 3 x-points, 1 y-point, 1 variant
+        assert header.split()[-1] == "in_coverage"
+        assert [row.split()[-1] for row in rows] == ["1"] * 3
 
     def test_seed_flag_changes_results(self, cfg_path, tmp_path):
         outs = []

@@ -1,14 +1,18 @@
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from risloc import estimator
+from risloc import estimator, harness
 from risloc.errors import EmptyInput, SingularSystemError, ZeroModelError
 from risloc.estimator import EstimateTrace, GridSpec, estimate
+from risloc.geometry import SphericalCoord
 from risloc.harness import (AoiSpec, ExperimentConfig, PointResult, VARIANTS,
-                            _cell_from_traces, _point_traces, _skipped,
-                            aoi_sweep, draw_trial, line_sweep, line_table,
-                            mix_seed, rms, splitmix64, stage_label,
-                            trial_seeds)
+                            _GROUP_MODELS, _cell_from_traces, _point_traces,
+                            _skipped, aoi_sweep, draw_trial, line_sweep,
+                            line_table, mix_seed, rms, splitmix64,
+                            stage_label, trial_seeds)
 
 
 def small_grid():
@@ -271,6 +275,150 @@ class TestSweeps:
             assert a.rmsve["gs-nf"] == b.rmsve["gs-nf"]
 
 
+def assert_same_traces(a, b):
+    """Bit-equal stage records and equal failures, variant by variant."""
+    assert list(a) == list(b)
+    for variant in a:
+        for ta, tb in zip(a[variant], b[variant], strict=True):
+            assert [(s, repr(e)) for s, e in ta.failures] == \
+                [(s, repr(e)) for s, e in tb.failures]
+            assert len(ta.records) == len(tb.records)
+            for ra, rb in zip(ta.records, tb.records):
+                assert (ra.stage, ra.cost, ra.iterations) == \
+                    (rb.stage, rb.cost, rb.iterations)
+                assert np.array_equal(ra.p, rb.p)
+                assert np.array_equal(ra.v, rb.v)
+
+
+class TestGroupedSweeps:
+    """A sweep scores the coarse searches of several points in one pass;
+    every output must equal the same points run one at a time."""
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_line_sweep_matches_points_run_alone(self, layout, scenario,
+                                                 runs):
+        xs = [1.2, 1.6, 2.0]
+        base = dict(scenario=scenario, layout=layout, grid=small_grid(),
+                    runs=runs, seed_base=13, variants=tuple(VARIANTS))
+        cfg = ExperimentConfig(**base)
+        alone = [_point_traces(cfg, np.array([x, 0.0, -0.5]), i)
+                 for i, x in enumerate(xs)]
+        for i, (x, (_, mean_snr)) in enumerate(zip(xs, alone)):
+            snr = [draw_trial(cfg, np.array([x, 0.0, -0.5]), i, run,
+                              (True,))[1][True].snr_per_sample
+                   for run in range(runs)]
+            assert mean_snr == np.mean(np.concatenate(snr))
+        for threads in (1, 2, 3):
+            got = line_sweep(ExperimentConfig(threads=threads, **base),
+                             0.0, -0.5, xs)
+            assert len(got) == len(xs)
+            for res, (traces, mean_snr) in zip(got, alone):
+                assert_same_traces(res.traces, traces)
+                assert res.mean_snr_db == mean_snr
+                assert res.skipped == _skipped(traces)
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_aoi_sweep_matches_points_run_alone(self, layout, scenario,
+                                                runs, monkeypatch):
+        # y = 0.4 m lies at 14 and 12.5 deg azimuth, outside the small
+        # grid's +/-10 deg: those points run like any other and are
+        # flagged.
+        aoi = AoiSpec(x_min=1.6, x_max=1.8, y_min=0.0, y_max=0.4, step=0.2,
+                      z=-0.5)
+        base = dict(scenario=scenario, layout=layout, grid=small_grid(),
+                    aoi=aoi, runs=runs, seed_base=17, variants=("gs-nf",))
+        cfg = ExperimentConfig(**base)
+        points = aoi.grid_points()
+        alone = [_point_traces(cfg, p, i) for i, p in enumerate(points)]
+        expect = [_cell_from_traces(p, traces, mean_snr, cfg.truth_v,
+                                    cfg.grid.covers(p))
+                  for p, (traces, mean_snr) in zip(points, alone)]
+        assert [c.in_coverage for c in expect] == [True, True, False,
+                                                   True, True, False]
+        # Every trace of the sweep, keyed by its snapshot.
+        by_snapshot = {draw_trial(cfg, p, i, run, (True,))[1][True]
+                       .y.tobytes(): traces["gs-nf"][run]
+                       for i, (p, (traces, _)) in enumerate(zip(points, alone))
+                       for run in range(runs)}
+        for threads in (1, 2, 3):
+            seen, lock = {}, threading.Lock()
+
+            def capture(y, *args, **kwargs):
+                trace = estimate(y, *args, **kwargs)
+                with lock:
+                    seen[y.tobytes()] = trace
+                return trace
+
+            monkeypatch.setattr(harness, "estimate", capture)
+            cells = aoi_sweep(ExperimentConfig(threads=threads, **base))
+            assert seen.keys() == by_snapshot.keys()
+            for key, trace in seen.items():
+                assert_same_traces({"gs-nf": [trace]},
+                                   {"gs-nf": [by_snapshot[key]]})
+            assert len(cells) == len(expect)
+            for cell, ref in zip(cells, expect):
+                assert np.array_equal(cell.truth_p, ref.truth_p)
+                assert (cell.rmspe, cell.rmsve, cell.mean_snr_db,
+                        cell.run_count, cell.skipped, cell.in_coverage) == \
+                    (ref.rmspe, ref.rmsve, ref.mean_snr_db, ref.run_count,
+                     ref.skipped, ref.in_coverage)
+
+    @pytest.mark.parametrize("runs,num_points,threads", [
+        (1, 80, 1), (1, 80, 3), (1, 5, 2), (7, 12, 2), (10, 25, 1),
+        (5, 3, 4), (_GROUP_MODELS + 1, 3, 1)])
+    def test_groups_hold_whole_points_under_the_cap(self, runs, num_points,
+                                                    threads, monkeypatch):
+        owner, calls, lock = {}, [], threading.Lock()
+
+        def fake_draw(config, truth_p, point_index, run, patterns):
+            model = object()
+            owner[id(model)] = (point_index, run)
+            snap = SimpleNamespace(y=np.zeros(1), snr_per_sample=np.ones(1))
+            return model, {pattern: snap for pattern in patterns}
+
+        def fake_batch(entries, grid):
+            with lock:
+                calls.append([owner[id(model)] for model, _ in entries])
+            return [[(SphericalCoord(0.0, 0.0, 1.0), 0.0)] * len(ys)
+                    for _, ys in entries]
+
+        monkeypatch.setattr(harness, "draw_trial", fake_draw)
+        monkeypatch.setattr(harness, "nf_grid_search_batch", fake_batch)
+        monkeypatch.setattr(harness, "estimate",
+                            lambda *args, **kwargs: EstimateTrace())
+        xs = [1.0 + 0.01 * i for i in range(num_points)]
+        cfg = ExperimentConfig(runs=runs, threads=threads,
+                               variants=("gs-nf",))
+        got = line_sweep(cfg, 0.0, -0.5, xs)
+
+        assert [res.truth_p[0] for res in got] == xs
+        assert sorted(t for call in calls for t in call) == \
+            [(i, run) for i in range(num_points) for run in range(runs)]
+        for call in calls:
+            points = sorted({i for i, _ in call})
+            # Whole, consecutive points.
+            assert points == list(range(points[0], points[-1] + 1))
+            assert len(call) == len(points) * runs
+            if runs <= _GROUP_MODELS:
+                assert len(call) <= _GROUP_MODELS
+            else:
+                assert len(points) == 1
+        # As few passes as the cap allows, but one per pool thread.
+        fewest = -(-num_points // max(1, _GROUP_MODELS // runs))
+        assert len(calls) == min(num_points, max(threads, fewest))
+
+
+class TestCoverage:
+    def test_default_grid_coverage(self):
+        grid = estimator.default_coarse_grid()
+        # -78.7 deg elevation, outside the +/-70 deg axis.
+        assert not grid.covers(np.array([0.1, 0.0, -0.5]))
+        assert grid.covers(np.array([2.0, 0.0, -0.5]))
+        # +/-77 deg azimuth at the default AOI's x = 0.35 m column.
+        assert not grid.covers(np.array([0.35, 1.5, -0.5]))
+        assert not grid.covers(np.array([0.35, -1.5, -0.5]))
+
+
 class TestFailureAccounting:
     """A trial with any failed stage is skipped everywhere RMS is taken."""
 
@@ -290,7 +438,8 @@ class TestFailureAccounting:
         truth_p = np.array([2.0, 0.0, -0.5])
         traces = {"gs-nf": [self._trace(0.003), self._trace(0.004),
                             self._trace(5.0, failure)]}
-        cell = _cell_from_traces(truth_p, traces, 10.0, np.zeros(3))
+        cell = _cell_from_traces(truth_p, traces, 10.0, np.zeros(3),
+                                 True)
         assert cell.rmspe["gs-nf"] == pytest.approx(rms([0.003, 0.004]),
                                                     rel=1e-9)
         assert cell.skipped == {"gs-nf": 1}
@@ -306,5 +455,6 @@ class TestFailureAccounting:
         traces = {"gs-nf": [self._trace(0.003),
                             self._trace(5.0, ZeroModelError("zero"))],
                   "noap": [self._trace(0.002), self._trace(0.001)]}
-        cell = _cell_from_traces(truth_p, traces, 10.0, np.zeros(3))
+        cell = _cell_from_traces(truth_p, traces, 10.0, np.zeros(3),
+                                 True)
         assert cell.skipped == {"gs-nf": 1, "noap": 0}
