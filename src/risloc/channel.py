@@ -32,8 +32,8 @@ def db_to_linear(x_db):
 class Scenario:
     """Physical constants and geometry of the simulation setup.
 
-    All gain/noise fields are linear; dB-valued inputs are converted once
-    in :func:`default_scenario`.
+    All gain/noise fields are linear; the CLI converts the dB values of a
+    config file. The defaults are the reference parameters.
     """
 
     f: float = 23.8e9                 # center frequency, Hz
@@ -61,6 +61,12 @@ class Scenario:
             raise ValueError("transmit power must be positive")
         if self.bs_gain < 1 or self.ue_gain < 1:
             raise ValueError("linear antenna gains must be >= 1")
+        if not (self.temperature > 0 and self.bandwidth > 0):
+            raise ValueError("temperature and bandwidth must be positive")
+        if self.noise_figure < 1:
+            raise ValueError("linear noise figure must be >= 1")
+        if not (self.num_samples >= 1 and self.sample_time > 0):
+            raise ValueError("num_samples and sample_time must be positive")
         refl = np.asarray(self.reflection_set)
         if refl.shape != (2,) or refl[0] == refl[1]:
             raise ValueError("the reflection set must hold exactly two "
@@ -125,10 +131,6 @@ def noise_power(scenario):
     if scenario.noise_power_override is not None:
         return scenario.noise_power_override
     s = scenario
-    if not (s.temperature > 0 and s.bandwidth > 0):
-        raise ValueError("temperature and bandwidth must be positive")
-    if s.noise_figure < 1:
-        raise ValueError("linear noise figure must be >= 1")
     return s.k_b * s.temperature * s.bandwidth * s.noise_figure
 
 

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 import yaml
@@ -21,8 +22,7 @@ from .channel import (DEFAULT_UE_VELOCITY, Scenario, db_to_linear,
                       save_snapshot)
 from .errors import ConfigError, GeometryError, RislocError
 from .estimator import GridSpec, estimate
-from .geometry import (DEFAULT_CELL_DIMS, DEFAULT_CELL_SPACING,
-                       DEFAULT_TILE_OFFSETS, build_composite_ris)
+from .geometry import build_composite_ris
 from .harness import (VARIANTS, AoiSpec, ExperimentConfig, aoi_sweep,
                       draw_trial, line_sweep, line_table)
 
@@ -31,27 +31,74 @@ EXIT_CONFIG = 2
 EXIT_GEOMETRY = 3
 EXIT_INTERNAL = 4
 
-#: Every key a config file may hold; a nested dict is a section. A key the
-#: code does not read is rejected rather than silently ignored.
-_CONFIG_KEYS = {
-    "scenario": dict.fromkeys(
-        ("f_hz", "p_tx_dbm", "g_bs_db", "g_ue_db", "nf_db", "t_k", "b_hz",
-         "p_bs_m", "t_s_s", "l_samples", "reflection_phases_deg")),
-    "layout": dict.fromkeys(("cell_size_m", "tile_offsets_m",
-                             "cell_spacing_m")),
-    "grid": dict.fromkeys(("az_deg", "el_deg", "r_m")),
+
+def _integer(value):
+    """An integral number as an int; 4.7 is rejected, not truncated."""
+    if not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _list(value, item=float, count=None):
+    """A YAML list as a tuple of ``item(x)``, ``count`` long if given."""
+    if not isinstance(value, list) or count not in (None, len(value)):
+        raise ValueError(f"expected a list of {count or 'any number of'} "
+                         f"values, got {value!r}")
+    return tuple(item(x) for x in value)
+
+
+#: A 3-vector, or a grid axis [lo, hi, step].
+_triple = partial(_list, count=3)
+
+#: Every key a config file may hold, as ``{section: {yaml_key: (keyword,
+#: converter)}}``; a nested dict is a section. A section's keys become
+#: keyword arguments of the object it builds, so a key the file leaves
+#: out takes that object's default. A key the code does not read is
+#: rejected rather than silently ignored.
+_CONFIG = {
+    "scenario": {
+        "f_hz": ("f", float),
+        "p_tx_dbm": ("tx_power", lambda v: 10.0 ** ((float(v) - 30) / 10)),
+        "g_bs_db": ("bs_gain", lambda v: db_to_linear(float(v))),
+        "g_ue_db": ("ue_gain", lambda v: db_to_linear(float(v))),
+        "nf_db": ("noise_figure", lambda v: db_to_linear(float(v))),
+        "t_k": ("temperature", float),
+        "b_hz": ("bandwidth", float),
+        "p_bs_m": ("bs_position", _triple),
+        "t_s_s": ("sample_time", float),
+        "l_samples": ("num_samples", _integer),
+        "reflection_phases_deg": ("reflection_set", lambda v: tuple(
+            np.exp(1j * 2 * np.pi * np.asarray(_list(v)) / 360.0))),
+    },
+    "layout": {
+        "cell_size_m": ("cell_dims", lambda v: (float(v),) * 2),
+        "tile_offsets_m": ("tile_offsets",
+                           lambda v: np.asarray(v, dtype=float)),
+        "cell_spacing_m": ("spacing", float),
+    },
+    "grid": {"az_deg": ("azimuth_deg", _triple),
+             "el_deg": ("elevation_deg", _triple),
+             "r_m": ("range_m", _triple)},
     "experiment": {
-        "runs": None, "seed_base": None, "variants": None,
-        "truth_v_mps": None,
-        "line": dict.fromkeys(("x_points_m", "y_m", "z_m")),
-        "aoi": dict.fromkeys(("x_min_m", "x_max_m", "y_min_m", "y_max_m",
-                              "step_m", "z_m")),
+        "runs": ("runs", _integer),
+        "seed_base": ("seed_base", _integer),
+        "variants": ("variants", lambda v: _list(v, str)),
+        "truth_v_mps": ("truth_v", lambda v: np.array(_triple(v))),
+        "line": {"x_points_m": ("x_points", _list),
+                 "y_m": ("y_fixed", float), "z_m": ("z_fixed", float)},
+        "aoi": {"x_min_m": ("x_min", float), "x_max_m": ("x_max", float),
+                "y_min_m": ("y_min", float), "y_max_m": ("y_max", float),
+                "step_m": ("step", float), "z_m": ("z", float)},
     },
 }
 
+#: The line sweep's reference points, which no object holds.
+_LINE_DEFAULTS = {"x_points": (0.62, 1.1, 1.55, 1.94, 2.4), "y_fixed": 0.0,
+                  "z_fixed": -0.5}
+
 
 def load_config(path):
-    """Load and minimally validate a YAML config file."""
+    """Load a YAML config file and reject keys the code does not read."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     try:
@@ -61,7 +108,7 @@ def load_config(path):
         raise ConfigError(f"malformed config: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
-    _check_keys(cfg, _CONFIG_KEYS, "")
+    _check_keys(cfg, _CONFIG, "")
     return cfg
 
 
@@ -70,7 +117,7 @@ def _check_keys(section, known, prefix):
         name = f"{prefix}{key}"
         if key not in known:
             raise ConfigError(f"unknown config key: {name}")
-        if known[key] is not None:
+        if isinstance(known[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {name} must be a "
                                   "mapping")
@@ -87,8 +134,8 @@ def effective_config(cfg, args):
     eff = {key: dict(value) if isinstance(value, dict) else value
            for key, value in cfg.items()}
     experiment = eff.setdefault("experiment", {})
-    for key, value in (("seed_base", args.seed), ("runs", args.runs),
-                       ("variants", args.variant)):
+    for key, value in (("seed_base", args.seed), ("variants", args.variant),
+                       ("runs", getattr(args, "runs", None))):
         if value is not None:
             experiment[key] = value
     truth_v = getattr(args, "truth_v", None)
@@ -108,96 +155,51 @@ def config_hash(cfg):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _get(cfg, key, default):
-    value = cfg.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing config key: {key}")
-    return value
-
-
-def build_scenario(cfg, noiseless=False):
-    sc = cfg.get("scenario", {})
+def _build(make, cfg, name, **kwargs):
+    """``make(**kwargs)`` with the keys that section ``name`` (dotted) of
+    ``cfg`` sets, each converted by its entry in :data:`_CONFIG`, added
+    to ``kwargs``; a value the object rejects is a config error too."""
+    section, table = cfg, _CONFIG
+    for part in name.split("."):
+        section, table = section.get(part, {}), table[part]
+    for key, value in section.items():
+        if isinstance(table[key], dict):
+            continue
+        keyword, convert = table[key]
+        if value is None:
+            raise ConfigError(f"missing config key: {name}.{key}")
+        try:
+            kwargs[keyword] = convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid {name}.{key}: {exc}") from exc
     try:
-        scenario = Scenario(
-            f=float(_get(sc, "f_hz", 23.8e9)),
-            tx_power=10.0 ** ((float(_get(sc, "p_tx_dbm", 20.0)) - 30) / 10),
-            bs_gain=db_to_linear(float(_get(sc, "g_bs_db", 19.0))),
-            ue_gain=db_to_linear(float(_get(sc, "g_ue_db", 3.2))),
-            noise_figure=db_to_linear(float(_get(sc, "nf_db", 8.0))),
-            temperature=float(_get(sc, "t_k", 293.0)),
-            bandwidth=float(_get(sc, "b_hz", 1.0e6)),
-            bs_position=np.asarray(_get(sc, "p_bs_m", [1.0, -3.0, 3.0]),
-                                   dtype=float),
-            sample_time=float(_get(sc, "t_s_s", 1.0e-4)),
-            num_samples=int(_get(sc, "l_samples", 40)),
-            reflection_set=tuple(
-                np.exp(1j * 2 * np.pi * np.asarray(
-                    _get(sc, "reflection_phases_deg", [-15.0, 165.0]),
-                    dtype=float) / 360.0)),
-            noise_power_override=0.0 if noiseless else None)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
-    return scenario
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
-def build_layout(cfg):
-    lc = cfg.get("layout", {})
-    size = float(_get(lc, "cell_size_m", DEFAULT_CELL_DIMS[0]))
-    return build_composite_ris(
-        tile_offsets=lc.get("tile_offsets_m", DEFAULT_TILE_OFFSETS),
-        spacing=float(_get(lc, "cell_spacing_m", DEFAULT_CELL_SPACING)),
-        cell_dims=(size, size))
-
-
-def _axis(cfg, key, default):
-    ax = cfg.get(key, default)
-    if len(ax) != 3:
-        raise ConfigError(f"grid axis {key} must be [lo, hi, step]")
-    return tuple(float(x) for x in ax)
+def build_scenario(cfg):
+    scenario = _build(Scenario, cfg, "scenario")
+    noiseless = cfg.get("flags", {}).get("noiseless")
+    return scenario.noiseless() if noiseless else scenario
 
 
 def build_grid(cfg):
-    gc = cfg.get("grid", {})
-    try:
-        return GridSpec(
-            azimuth_deg=_axis(gc, "az_deg", (-70.0, 70.0, 1.0)),
-            elevation_deg=_axis(gc, "el_deg", (-70.0, 70.0, 1.0)),
-            range_m=_axis(gc, "r_m", (0.1, 3.9, 0.2)))
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+    return _build(GridSpec, cfg, "grid")
 
 
-def build_experiment(cfg, args, noiseless=False):
-    """The experiment of ``cfg`` with the flags of ``args`` applied; it
-    reads :func:`effective_config`, so the manifest hashes what runs."""
-    ec = effective_config(cfg, args)["experiment"]
-    aoi_cfg = ec.get("aoi", {})
-    aoi = AoiSpec(
-        x_min=float(_get(aoi_cfg, "x_min_m", 0.1)),
-        x_max=float(_get(aoi_cfg, "x_max_m", 3.1)),
-        y_min=float(_get(aoi_cfg, "y_min_m", -1.5)),
-        y_max=float(_get(aoi_cfg, "y_max_m", 1.5)),
-        step=float(_get(aoi_cfg, "step_m", 0.1)),
-        z=float(_get(aoi_cfg, "z_m", -0.5)))
-    variants = tuple(ec.get("variants", ["gs-nf"]))
-    for v in variants:
-        if v not in VARIANTS:
-            raise ConfigError(f"unknown variant {v!r}; "
-                              f"choose from {sorted(VARIANTS)}")
-    try:
-        return ExperimentConfig(
-            scenario=build_scenario(cfg, noiseless=noiseless),
-            layout=build_layout(cfg),
-            grid=build_grid(cfg),
-            aoi=aoi,
-            truth_v=np.asarray(ec.get("truth_v_mps", DEFAULT_UE_VELOCITY),
-                               dtype=float),
-            runs=int(ec.get("runs", 25)),
-            seed_base=int(ec.get("seed_base", 1)),
-            variants=variants,
-            threads=args.threads)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def build_experiment(cfg, args):
+    """The experiment of ``cfg`` with the flags of ``args`` applied. Apart
+    from the thread count it reads only :func:`effective_config`, so the
+    manifest hashes what runs."""
+    eff = effective_config(cfg, args)
+    threads = getattr(args, "threads", None)
+    return _build(ExperimentConfig, eff, "experiment",
+                  scenario=build_scenario(eff),
+                  layout=_build(build_composite_ris, eff, "layout"),
+                  grid=build_grid(eff),
+                  aoi=_build(AoiSpec, eff, "experiment.aoi"),
+                  **({} if threads is None else {"threads": threads}))
 
 
 def atomic_write(path, text):
@@ -232,7 +234,7 @@ def write_trace(trace, path):
 
 def cmd_single(args):
     cfg = load_config(args.config)
-    config = build_experiment(cfg, args, noiseless=args.noiseless)
+    config = build_experiment(cfg, args)
     if len(config.variants) != 1:
         raise ConfigError(
             f"single runs one variant; experiment.variants lists "
@@ -269,7 +271,7 @@ def cmd_single(args):
 
 def cmd_sweep_aoi(args):
     cfg = load_config(args.config)
-    config = build_experiment(cfg, args, noiseless=args.noiseless)
+    config = build_experiment(cfg, args)
     start = time.time()
     os.makedirs(args.out, exist_ok=True)
     results = aoi_sweep(config)
@@ -291,15 +293,11 @@ def cmd_sweep_aoi(args):
 
 def cmd_sweep_line(args):
     cfg = load_config(args.config)
-    config = build_experiment(cfg, args, noiseless=args.noiseless)
-    lc = cfg.get("experiment", {}).get("line", {})
-    x_points = [float(x) for x in
-                _get(lc, "x_points_m", [0.62, 1.1, 1.55, 1.94, 2.4])]
-    y_fixed = float(_get(lc, "y_m", 0.0))
-    z_fixed = float(_get(lc, "z_m", -0.5))
+    config = build_experiment(cfg, args)
+    line = _build(dict, cfg, "experiment.line", **_LINE_DEFAULTS)
     start = time.time()
     os.makedirs(args.out, exist_ok=True)
-    results = line_sweep(config, y_fixed, z_fixed, x_points)
+    results = line_sweep(config, **line)
     rows = line_table(results, config.truth_v)
     lines = ["# d_r_m variant stage label rmspe_m rmsve_mps runs skipped"]
     for row in rows:
@@ -341,7 +339,7 @@ def build_parser():
         p.add_argument("--runs", type=int, default=None)
         p.add_argument("--variant", action="append", default=None,
                        choices=sorted(VARIANTS))
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=None)
 
     p_single = sub.add_parser("single", help="one snapshot + estimate")
     common(p_single)
@@ -353,9 +351,7 @@ def build_parser():
                           metavar=("X", "Y", "Z"))
     p_single.add_argument("--truth-v", type=float, nargs=3, default=None,
                           metavar=("VX", "VY", "VZ"))
-    # build_experiment reads runs and threads, which a single trial has
-    # no use for.
-    p_single.set_defaults(func=cmd_single, runs=None, threads=1)
+    p_single.set_defaults(func=cmd_single)
 
     p_aoi = sub.add_parser("sweep-aoi", help="Monte Carlo AOI sweep")
     sweep(p_aoi)

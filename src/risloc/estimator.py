@@ -433,9 +433,11 @@ def _direction_table(grid, model):
 
 def _check_entries(entries):
     """All models must share the first one's cell geometry and BS phase,
-    which the table folds in."""
-    ref = entries[0][0]
-    for model, _ in entries:
+    which the table folds in, and hold as many snapshots."""
+    ref, ref_ys = entries[0]
+    for model, ys in entries:
+        if len(ys) != len(ref_ys):
+            raise ValueError("batched entries must hold as many snapshots")
         for name in ("cell_centers", "bs_phase"):
             mine, theirs = getattr(model, name), getattr(ref, name)
             if mine is not theirs and not np.array_equal(mine, theirs):
@@ -466,7 +468,7 @@ def _scores(h, y):
 
 class _BoundPass:
     """Both passes of :func:`_best_candidates` for a batch of T (model,
-    snapshots) entries, their snapshots padded to J per model.
+    snapshots) entries of J snapshots each.
 
     Pass 1 (:meth:`add_chunk`) keeps a floor under each snapshot's best
     score, from the exact score of its best-bounded row per chunk, and the
@@ -476,13 +478,9 @@ class _BoundPass:
 
     def __init__(self, entries, dtype):
         self.models = [model for model, _ in entries]
-        self.counts = [len(ys) for _, ys in entries]
-        num_samples = self.models[0].num_samples
-        j = max(self.counts)
+        self.ys = np.array([ys for _, ys in entries], dtype=complex)
+        num_models, j, num_samples = self.ys.shape
         k = min(num_samples, max(_BOUND_DIRECTIONS, 2 * j))
-        self.ys = np.zeros((len(entries), j, num_samples), dtype=complex)
-        for t, (_, ys) in enumerate(entries):
-            self.ys[t, :len(ys)] = ys
         self.sp = np.stack([m.signs + m.offset for m in self.models])
         qs = [_bound_basis(m, ys, k) for m, ys in entries]
         # z = Q^T h = Q^T S^T t + rowsum(t) s, s = offset Q^T 1, for a
@@ -501,10 +499,7 @@ class _BoundPass:
         roundoff = np.finfo(dtype).eps / 2
         self.slack = _BOUND_SLACK_ROUNDOFFS * roundoff \
             * np.sum(np.abs(self.ys) ** 2, axis=2)
-        # Padding snapshots never keep a candidate.
-        self.floor = np.where(
-            np.arange(j)[None, :] < np.array(self.counts)[:, None],
-            -np.inf, np.inf)
+        self.floor = np.full((num_models, j), -np.inf)
         self.idx = np.empty(0, dtype=int)
         self.unit = np.empty(0, dtype=int)   # t * J + snapshot
         self.bound = np.empty(0)
@@ -553,8 +548,7 @@ class _BoundPass:
         reaches the best score; lowest index on ties."""
         j = self.ys.shape[1]
         return [[self._rescore(table, t, snap, t * j + snap)
-                 for snap in range(count)]
-                for t, count in enumerate(self.counts)]
+                 for snap in range(j)] for t in range(len(self.ys))]
 
     def _rescore(self, table, t, snap, unit):
         model, y = self.models[t], self.ys[t, snap]
@@ -625,11 +619,12 @@ def _search(table, entries):
 def nf_grid_search_batch(entries, grid, cache=True):
     """Near-field grid search for many snapshots sharing one geometry.
 
-    ``entries`` is a list of ``(model, [y, ...])`` pairs; all models must
-    have identical cell positions, BS position and wavelength. Returns, per
-    entry, a list of ``(SphericalCoord, cost)`` results (v assumed zero).
-    With ``cache`` the table is built once and kept for later searches on
-    the same grid; without, each chunk is built, scored and dropped.
+    ``entries`` is a list of ``(model, [y, ...])`` pairs, each with as
+    many snapshots; all models must have identical cell positions, BS
+    position and wavelength. Returns, per entry, a list of
+    ``(SphericalCoord, cost)`` results (v assumed zero). With ``cache``
+    the table is built once and kept for later searches on the same grid;
+    without, each chunk is built, scored and dropped.
 
     One call reads the whole table once, however many entries it scores,
     and its working set grows with their number; sweeps pass up to
@@ -680,10 +675,8 @@ def nf_fine_grid_search(y, model, coarse):
     The table is kept until a search around another cell replaces it, so
     callers should run the searches of one coarse cell together.
     """
-    entries = [(model, [y])]
-    _check_entries(entries)
     return _search(_nf_table(fine_grid_spec(coarse), model, _FINE_TABLES),
-                   entries)[0][0]
+                   [(model, [y])])[0][0]
 
 
 def ff_grid_search(y, model, grid):
@@ -695,7 +688,6 @@ def ff_grid_search(y, model, grid):
     The range line is scored as one near-field table.
     """
     entries = [(model, [y])]
-    _check_entries(entries)
     dirs = _direction_table(grid, model)
     az, el, _ = dirs.coords[_best_candidates(dirs, entries)[0][0]]
     r_axis = grid.axis_values()[2]
@@ -703,8 +695,7 @@ def ff_grid_search(y, model, grid):
     def range_line():
         coords = np.column_stack([np.full_like(r_axis, az),
                                   np.full_like(r_axis, el), r_axis])
-        return coords, np.array([spherical_to_cartesian(
-            SphericalCoord(*map(float, c))) for c in coords]), r_axis
+        return coords, _coords_to_positions(coords), r_axis
 
     return _search(_table(model, len(r_axis), range_line), entries)[0][0]
 

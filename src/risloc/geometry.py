@@ -9,7 +9,6 @@ reference point of every range and steering phase.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import DegenerateLayout, OriginError, OverlapError
 
@@ -108,6 +107,13 @@ def build_hex_tile(rings, spacing):
     return np.asarray(pts, dtype=float)
 
 
+def _row_distances(points):
+    """Distances from each row of ``points`` to the later rows, one row at
+    a time so memory stays O(M)."""
+    for i in range(len(points) - 1):
+        yield np.linalg.norm(points[i + 1:] - points[i], axis=1)
+
+
 def build_composite_ris(tile_offsets=DEFAULT_TILE_OFFSETS,
                         spacing=DEFAULT_CELL_SPACING,
                         cell_dims=DEFAULT_CELL_DIMS,
@@ -143,7 +149,7 @@ def build_composite_ris(tile_offsets=DEFAULT_TILE_OFFSETS,
                        for oy, oz in offsets])
     # Recenter so the array centroid is exactly the origin.
     cells = cells - cells.mean(axis=0)
-    dmin = pdist(cells).min()
+    dmin = min(d.min() for d in _row_distances(cells))
     if dmin < spacing * (1.0 - 1e-6):
         raise OverlapError(
             f"minimum cell distance {dmin:.6g} m below spacing {spacing:.6g} m")
@@ -155,7 +161,7 @@ def aperture(layout):
     """Maximum pairwise distance between cell centers, meters."""
     if layout.num_cells < 2:
         raise DegenerateLayout("aperture requires at least 2 cells")
-    return float(pdist(layout.cell_centers).max())
+    return float(max(d.max() for d in _row_distances(layout.cell_centers)))
 
 
 def fraunhofer_distance(layout, wavelength):

@@ -108,6 +108,11 @@ class AoiSpec:
     step: float = 0.1
     z: float = -0.5
 
+    def __post_init__(self):
+        if not (self.step > 0 and self.x_min <= self.x_max
+                and self.y_min <= self.y_max):
+            raise ValueError("the AOI is empty or its step is not positive")
+
     def grid_points(self):
         """Row-major (x outer, y inner) list of evaluation positions."""
         xs = np.arange(self.x_min, self.x_max + 0.5 * self.step, self.step)
@@ -133,9 +138,9 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        for name in self.variants:
-            if name not in VARIANTS:
-                raise ValueError(f"unknown variant {name!r}")
+        if not self.variants or not set(self.variants) <= VARIANTS.keys():
+            raise ValueError(f"variants {list(self.variants)} must be one "
+                             f"or more of {sorted(VARIANTS)}")
 
     def estimator_config(self, variant):
         return EstimatorConfig(gs_variant=VARIANTS[variant].gs_variant,

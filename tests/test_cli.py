@@ -1,13 +1,17 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import risloc
 from risloc.cli import (EXIT_CONFIG, EXIT_GEOMETRY, EXIT_OK, build_experiment,
                         build_grid, build_parser, build_scenario, config_hash,
                         effective_config, load_config, main, write_trace)
 from risloc.errors import ConfigError
-from risloc.harness import _point_traces
+from risloc.harness import ExperimentConfig, _point_traces
 
 FAST_CONFIG = """
 scenario:
@@ -310,3 +314,65 @@ class TestSweeps:
                   "--runs", "1", "--seed", str(seed)])
             outs.append((out / "aoi_results.txt").read_text())
         assert outs[0] != outs[1]
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("command, text, named", [
+        ("single", "experiment:\n  aoi:\n    step_m: abc\n",
+         "invalid experiment.aoi.step_m:"),
+        ("single", "grid:\n  az_deg: 5\n", "invalid grid.az_deg:"),
+        ("single", "experiment:\n  truth_v_mps: [1, 2]\n",
+         "invalid experiment.truth_v_mps:"),
+        ("single", "scenario:\n  p_bs_m: [1, 2]\n", "invalid scenario.p_bs_m:"),
+        ("sweep-line", "experiment:\n  line:\n    x_points_m: abc\n",
+         "invalid experiment.line.x_points_m:"),
+        ("single", "scenario:\n  l_samples: 4.7\n",
+         "invalid scenario.l_samples:"),
+        ("single", "experiment:\n  runs: 2.9\n", "invalid experiment.runs:"),
+        ("single", "experiment:\n  variants: gs-nf\n",
+         "invalid experiment.variants:"),
+        ("single", "scenario:\n  f_hz:\n", "missing config key: scenario.f_hz"),
+        ("single", "scenario:\n  l_samples: 0\n", "invalid scenario:"),
+        ("single", "scenario:\n  t_k: -1\n", "invalid scenario:"),
+        ("sweep-aoi", "experiment:\n  aoi:\n    step_m: 0\n",
+         "invalid experiment.aoi:"),
+        ("sweep-aoi", "experiment:\n  variants: []\n", "invalid experiment:")])
+    def test_malformed_value_exits_2(self, command, text, named, tmp_path,
+                                     capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "single":
+            argv += ["--truth-p", "2", "0", "-0.5"]
+        assert main(argv) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_config_builds_the_default_objects(self):
+        def same(a, b):
+            if dataclasses.is_dataclass(a):
+                return type(a) is type(b) and all(
+                    same(getattr(a, f.name), getattr(b, f.name))
+                    for f in dataclasses.fields(a))
+            if isinstance(a, tuple):
+                return len(a) == len(b) and all(map(same, a, b))
+            a, b = np.asarray(a), np.asarray(b)
+            return a.dtype == b.dtype and a.shape == b.shape \
+                and a.tobytes() == b.tobytes()
+
+        args = build_parser().parse_args(
+            ["single", "--config", "-", "--out", "-", "--truth-p", "2", "0",
+             "-0.5"])
+        built, default = build_experiment({}, args), ExperimentConfig()
+        for f in dataclasses.fields(default):
+            assert same(getattr(built, f.name), getattr(default, f.name)), \
+                f.name
+
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(risloc.__file__))
+        code = ("import sys, risloc.cli; print(sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -222,6 +222,12 @@ class TestNfGridSearch:
         streamed = nf_grid_search_batch(entries, small_grid(), cache=False)
         assert streamed == cached
 
+    def test_ragged_batch_rejected(self, model):
+        y = steering_vector(model, np.array([1.5, 0.2, -0.5]), np.zeros(3))
+        with pytest.raises(ValueError, match="as many snapshots"):
+            nf_grid_search_batch([(model, [y, y]), (model, [y])],
+                                 small_grid())
+
     def test_model_without_codebook_split_rejected(self, model):
         with pytest.raises(TypeError, match="bs_phase"):
             type(model)(cell_centers=model.cell_centers, w=model.w,

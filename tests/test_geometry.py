@@ -8,7 +8,7 @@ from risloc.errors import DegenerateLayout, OriginError, OverlapError
 from risloc.geometry import (DEFAULT_CELL_SPACING, RisLayout, SphericalCoord,
                              aperture, build_composite_ris, build_hex_tile,
                              cartesian_to_spherical, fraunhofer_distance,
-                             load_layout, save_layout,
+                             _row_distances, load_layout, save_layout,
                              spherical_to_cartesian)
 
 WAVELENGTH = 299792458.0 / 23.8e9
@@ -81,6 +81,17 @@ class TestAperture:
         # D = sqrt(d_F * lambda / 2) with d_F = 16.3 m
         assert aperture(layout) == pytest.approx(0.32, rel=0.05)
 
+    def test_matches_pdist(self, layout):
+        # The overlap check's minimum and the aperture, row by row, equal
+        # scipy's all-pairs distances bit for bit.
+        rng = np.random.default_rng(3)
+        for cells in (layout.cell_centers, rng.standard_normal((40, 3)),
+                      1e-3 * rng.standard_normal((7, 3))):
+            dist = pdist(cells)
+            assert aperture(RisLayout(cell_centers=cells)) == dist.max()
+            assert min(d.min() for d in _row_distances(cells)) == dist.min()
+        assert aperture(layout) == 0.3203388682403268
+
     def test_single_cell_degenerate(self):
         lay = RisLayout(cell_centers=np.zeros((1, 3)))
         with pytest.raises(DegenerateLayout):
@@ -104,6 +115,7 @@ class TestFraunhofer:
     def test_default_layout_within_5pct_of_16p3(self, layout):
         assert fraunhofer_distance(layout, WAVELENGTH) == \
             pytest.approx(16.3, rel=0.05)
+        assert fraunhofer_distance(layout, WAVELENGTH) == 16.29316754880301
 
     def test_formula_evaluation(self):
         lay = RisLayout(cell_centers=np.array([[0, 0, -0.16], [0, 0, 0.16]]))
