@@ -48,8 +48,6 @@ class Scenario:
     sample_time: float = 1.0e-4       # s
     num_samples: int = 40
     reflection_set: tuple = DEFAULT_REFLECTION_SET
-    c0: float = SPEED_OF_LIGHT
-    k_b: float = BOLTZMANN
     noise_power_override: float | None = None  # set to 0.0 for noiseless runs
 
     def __post_init__(self):
@@ -76,7 +74,7 @@ class Scenario:
 
     @property
     def wavelength(self):
-        return self.c0 / self.f
+        return SPEED_OF_LIGHT / self.f
 
     def noiseless(self):
         """Copy of the scenario with the noise power forced to zero."""
@@ -131,7 +129,7 @@ def noise_power(scenario):
     if scenario.noise_power_override is not None:
         return scenario.noise_power_override
     s = scenario
-    return s.k_b * s.temperature * s.bandwidth * s.noise_figure
+    return BOLTZMANN * s.temperature * s.bandwidth * s.noise_figure
 
 
 def _pattern_cosines(positions, layout, scenario):
@@ -174,19 +172,6 @@ def _pattern_cosines(positions, layout, scenario):
             cos_t, np.clip(cos_ue, -1.0, 1.0))
 
 
-def combined_pattern(m, p, layout, scenario):
-    """Combined antenna pattern of BS, RIS cell ``m`` (rx/tx) and UE.
-
-    Product of the BS pattern factor, the cell receive and transmit
-    cosines, and the UE pattern factor; in [0, 1] for front-side geometry.
-    """
-    cos_bs, cos_r, cos_t, cos_ue = _pattern_cosines(
-        np.asarray(p, dtype=float)[None, :], layout, scenario)
-    f_bs = cos_bs[m] ** (scenario.bs_gain / 2.0 - 1.0)
-    f_ue = cos_ue[0, m] ** (scenario.ue_gain / 2.0 - 1.0)
-    return float(f_bs * cos_r[m] * cos_t[0, m] * f_ue)
-
-
 def _combined_pattern_all(positions, layout, scenario):
     """Combined pattern for every cell at each position; shape (L, M)."""
     cos_bs, cos_r, cos_t, cos_ue = _pattern_cosines(
@@ -220,15 +205,6 @@ def _channel_coefficients(p, v, layout, codebook, scenario,
     prefactor = (np.sqrt(scenario.bs_gain * scenario.ue_gain)
                  * d_y * d_z / (4.0 * np.pi))
     return prefactor * terms.sum(axis=1)
-
-
-def channel_coefficient(ell, p, v, layout, codebook, scenario,
-                        use_pattern=True):
-    """Channel coefficient h'_ell at one time index."""
-    if not 0 <= ell < scenario.num_samples:
-        raise ValueError(f"time index {ell} outside [0, {scenario.num_samples})")
-    return complex(_channel_coefficients(
-        p, v, layout, codebook, scenario, use_pattern)[ell])
 
 
 def generate_snapshot(p, v, layout, codebook, scenario, noise_seed,
@@ -281,29 +257,3 @@ def save_snapshot(snapshot, scenario, path):
         for i, (yv, snr) in enumerate(zip(snapshot.y,
                                           snapshot.snr_per_sample)):
             fh.write(f"{i} {yv.real:.12g} {yv.imag:.12g} {snr:.12g}\n")
-
-
-def load_snapshot(path):
-    """Read a snapshot written by :func:`save_snapshot`."""
-    truth_p = truth_v = None
-    seed = 0
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = line[1:].split()
-                if fields[0] == "seed":
-                    seed = int(fields[1])
-                elif fields[0] == "truth_p_m":
-                    truth_p = np.array([float(x) for x in fields[1:4]])
-                elif fields[0] == "truth_v_mps":
-                    truth_v = np.array([float(x) for x in fields[1:4]])
-                continue
-            _, re_y, im_y, snr = line.split()
-            rows.append((float(re_y), float(im_y), float(snr)))
-    data = np.asarray(rows, dtype=float)
-    return Snapshot(y=data[:, 0] + 1j * data[:, 1], truth_p=truth_p,
-                    truth_v=truth_v, snr_per_sample=data[:, 2], seed=seed)

@@ -50,6 +50,16 @@ def _list(value, item=float, count=None):
 #: A 3-vector, or a grid axis [lo, hi, step].
 _triple = partial(_list, count=3)
 
+
+def _positions(value):
+    """A non-empty list of positive x values, in front of the RIS."""
+    xs = _list(value)
+    if not (xs and all(x > 0 for x in xs)):
+        raise ValueError("expected one or more positive values, "
+                         f"got {value!r}")
+    return xs
+
+
 #: Every key a config file may hold, as ``{section: {yaml_key: (keyword,
 #: converter)}}``; a nested dict is a section. A section's keys become
 #: keyword arguments of the object it builds, so a key the file leaves
@@ -84,7 +94,7 @@ _CONFIG = {
         "seed_base": ("seed_base", _integer),
         "variants": ("variants", lambda v: _list(v, str)),
         "truth_v_mps": ("truth_v", lambda v: np.array(_triple(v))),
-        "line": {"x_points_m": ("x_points", _list),
+        "line": {"x_points_m": ("x_points", _positions),
                  "y_m": ("y_fixed", float), "z_m": ("z_fixed", float)},
         "aoi": {"x_min_m": ("x_min", float), "x_max_m": ("x_max", float),
                 "y_min_m": ("y_min", float), "y_max_m": ("y_max", float),

@@ -764,17 +764,13 @@ def cf_refine(y, model, p, v):
     return p, v, converged
 
 
-def refine_loop(y, model, p, v, max_iter=CF_MAX_ITER):
-    """Iterate cf_refine until convergence or the iteration cap.
+def refine_loop(y, model, p, v):
+    """Iterate cf_refine until convergence or CF_MAX_ITER rounds.
 
     Returns ``(p, v, iterations)``.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    iterations = 0
-    for _ in range(max_iter):
+    for iterations in range(1, CF_MAX_ITER + 1):
         p, v, converged = cf_refine(y, model, p, v)
-        iterations += 1
         if converged:
             break
     return p, v, iterations
@@ -905,8 +901,7 @@ def estimate(y, model, config, coarse_result=None):
     p_cur, v_cur, cost_cur = p_hat, v_zero, cost
 
     try:
-        p_ref, v_ref, iters = refine_loop(y, model, p_cur, v_cur,
-                                          CF_MAX_ITER)
+        p_ref, v_ref, iters = refine_loop(y, model, p_cur, v_cur)
         cost_ref = projection_cost(y, steering_vector(model, p_ref, v_ref))
         if cost_ref <= cost_cur:
             p_cur, v_cur, cost_cur = p_ref, v_ref, cost_ref

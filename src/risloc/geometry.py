@@ -41,14 +41,16 @@ class RisLayout:
     cell_centers : ndarray, shape (M, 3)
         Unit cell center positions in meters; all in the yz-plane (x = 0).
     cell_dims : tuple of float
-        Effective cell dimensions (d_y, d_z) in meters.
-    min_spacing : float
-        Smallest allowed center-to-center distance in meters.
+        Effective cell dimensions (d_y, d_z) in meters, both positive.
     """
 
     cell_centers: np.ndarray
     cell_dims: tuple = DEFAULT_CELL_DIMS
-    min_spacing: float = DEFAULT_CELL_SPACING
+
+    def __post_init__(self):
+        if not all(d > 0 for d in self.cell_dims):
+            raise ValueError(
+                f"cell dimensions must be positive, got {self.cell_dims}")
 
     @property
     def num_cells(self):
@@ -116,8 +118,7 @@ def _row_distances(points):
 
 def build_composite_ris(tile_offsets=DEFAULT_TILE_OFFSETS,
                         spacing=DEFAULT_CELL_SPACING,
-                        cell_dims=DEFAULT_CELL_DIMS,
-                        rings=DEFAULT_TILE_RINGS):
+                        cell_dims=DEFAULT_CELL_DIMS):
     """Assemble four hexagonal tiles into one composite RIS layout.
 
     Parameters
@@ -128,8 +129,6 @@ def build_composite_ris(tile_offsets=DEFAULT_TILE_OFFSETS,
         Nearest-neighbor cell spacing within a tile, meters.
     cell_dims : tuple of float
         Effective cell dimensions (d_y, d_z), meters.
-    rings : int
-        Rings per tile (6 -> 127 cells per tile).
 
     Returns
     -------
@@ -144,7 +143,7 @@ def build_composite_ris(tile_offsets=DEFAULT_TILE_OFFSETS,
     if offsets.shape != (4, 2):
         raise ValueError(
             f"exactly 4 (y, z) tile offsets required, got shape {offsets.shape}")
-    tile = build_hex_tile(rings, spacing)
+    tile = build_hex_tile(DEFAULT_TILE_RINGS, spacing)
     cells = np.vstack([tile + np.array([0.0, oy, oz])
                        for oy, oz in offsets])
     # Recenter so the array centroid is exactly the origin.
@@ -153,8 +152,7 @@ def build_composite_ris(tile_offsets=DEFAULT_TILE_OFFSETS,
     if dmin < spacing * (1.0 - 1e-6):
         raise OverlapError(
             f"minimum cell distance {dmin:.6g} m below spacing {spacing:.6g} m")
-    return RisLayout(cell_centers=cells, cell_dims=tuple(cell_dims),
-                     min_spacing=spacing)
+    return RisLayout(cell_centers=cells, cell_dims=tuple(cell_dims))
 
 
 def aperture(layout):
@@ -195,44 +193,3 @@ def cartesian_to_spherical(p):
     elevation = float(np.arcsin(np.clip(p[2] / r, -1.0, 1.0)))
     azimuth = float(np.arctan2(p[1], p[0]))
     return SphericalCoord(azimuth=azimuth, elevation=elevation, range_m=r)
-
-
-def save_layout(layout, path):
-    """Write the layout as a plain-text table for cross-tool comparison.
-
-    One row per cell: index, x, y, z in meters with 9 significant digits.
-    Cell dimensions and minimum spacing are kept in header comments so the
-    layout round-trips through :func:`load_layout`.
-    """
-    with open(path, "w") as fh:
-        fh.write(f"# risloc layout, M={layout.num_cells}\n")
-        fh.write(f"# cell_dims_m {layout.cell_dims[0]:.9g} "
-                 f"{layout.cell_dims[1]:.9g}\n")
-        fh.write(f"# min_spacing_m {layout.min_spacing:.9g}\n")
-        fh.write("# index x_m y_m z_m\n")
-        for i, q in enumerate(layout.cell_centers):
-            fh.write(f"{i} {q[0]:.9g} {q[1]:.9g} {q[2]:.9g}\n")
-
-
-def load_layout(path):
-    """Read a layout table written by :func:`save_layout`."""
-    cell_dims = DEFAULT_CELL_DIMS
-    min_spacing = DEFAULT_CELL_SPACING
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = line[1:].split()
-                if fields and fields[0] == "cell_dims_m":
-                    cell_dims = (float(fields[1]), float(fields[2]))
-                elif fields and fields[0] == "min_spacing_m":
-                    min_spacing = float(fields[1])
-                continue
-            _, x, y, z = line.split()
-            rows.append((float(x), float(y), float(z)))
-    cells = np.asarray(rows, dtype=float)
-    return RisLayout(cell_centers=cells, cell_dims=cell_dims,
-                     min_spacing=min_spacing)

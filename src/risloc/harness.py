@@ -112,6 +112,8 @@ class AoiSpec:
         if not (self.step > 0 and self.x_min <= self.x_max
                 and self.y_min <= self.y_max):
             raise ValueError("the AOI is empty or its step is not positive")
+        if not self.x_min > 0:
+            raise ValueError("x_min must be positive (front of the RIS)")
 
     def grid_points(self):
         """Row-major (x outer, y inner) list of evaluation positions."""
@@ -166,7 +168,6 @@ class PointResult:
     d_r: float
     traces: dict             # variant -> list of EstimateTrace
     mean_snr_db: float
-    skipped: dict            # variant -> trials left out of the RMS
 
 
 def rms(errors):
@@ -267,11 +268,6 @@ def _group_traces(config, truth_ps, first_index):
     return out
 
 
-def _point_traces(config, truth_p, point_index):
-    """(traces, mean_snr_db) of one point scored on its own."""
-    return _group_traces(config, [truth_p], point_index)[0]
-
-
 def _stage_rms(tlist, stage, truth_p, truth_v):
     """(rmspe, rmsve, runs) at ``stage`` over the trials of ``tlist`` that
     no stage failed in; NaN errors if there are none."""
@@ -344,8 +340,7 @@ def line_sweep(config, y_fixed, z_fixed, x_points):
         raise ValueError("x_points must be positive (front of the RIS)")
     points = [np.array([x, y_fixed, z_fixed]) for x in x_points]
     return [PointResult(truth_p=truth_p, d_r=float(np.linalg.norm(truth_p)),
-                        traces=traces, mean_snr_db=mean_snr,
-                        skipped=_skipped(traces))
+                        traces=traces, mean_snr_db=mean_snr)
             for truth_p, (traces, mean_snr)
             in zip(points, _sweep_traces(config, points))]
 

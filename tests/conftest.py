@@ -29,7 +29,7 @@ def toy_layout(num_cells=5, seed=0, spacing=0.05):
     rng = np.random.default_rng(seed)
     cells = np.zeros((num_cells, 3))
     cells[:, 1:] = rng.uniform(-0.15, 0.15, size=(num_cells, 2))
-    return RisLayout(cell_centers=cells, min_spacing=1e-6)
+    return RisLayout(cell_centers=cells)
 
 
 def brute_force_costs(ys, model, grid, rows=4096):

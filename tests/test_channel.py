@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from risloc.channel import (DEFAULT_UE_VELOCITY, Scenario, channel_coefficient,
-                            combined_pattern, db_to_linear, default_scenario,
-                            draw_codebook, generate_snapshot, load_snapshot,
-                            noise_power, save_snapshot)
+from risloc.channel import (DEFAULT_UE_VELOCITY, Scenario,
+                            _channel_coefficients, _combined_pattern_all,
+                            db_to_linear, default_scenario, draw_codebook,
+                            generate_snapshot, noise_power, save_snapshot)
 from risloc.errors import GeometryError
 from risloc.geometry import RisLayout
 
@@ -12,7 +12,7 @@ from conftest import toy_layout
 
 
 def single_cell_layout():
-    return RisLayout(cell_centers=np.zeros((1, 3)), min_spacing=1e-6)
+    return RisLayout(cell_centers=np.zeros((1, 3)))
 
 
 def unit_codebook(num_cells, num_samples):
@@ -45,8 +45,8 @@ class TestCombinedPattern:
     def test_boresight_alignment_gives_unity(self):
         lay = single_cell_layout()
         s = default_scenario(bs_position=np.array([2.0, 0.0, 0.0]))
-        assert combined_pattern(0, np.array([1.0, 0.0, 0.0]), lay, s) == \
-            pytest.approx(1.0, abs=1e-12)
+        assert _combined_pattern_all(np.array([[1.0, 0.0, 0.0]]), lay,
+                                     s)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_exponent_degeneracy_at_gain_2(self, layout):
         # Linear gains of 2 zero both pattern exponents.
@@ -56,7 +56,7 @@ class TestCombinedPattern:
             q = layout.cell_centers[m]
             expect = (s.bs_position[0] / np.linalg.norm(s.bs_position - q)
                       * p[0] / np.linalg.norm(p - q))
-            assert combined_pattern(m, p, layout, s) == \
+            assert _combined_pattern_all(p[None], layout, s)[0, m] == \
                 pytest.approx(expect, rel=1e-12)
 
     def test_redundant_angle_path(self, layout, scenario):
@@ -77,8 +77,8 @@ class TestCombinedPattern:
             expect = (np.cos(a_bs) ** (scenario.bs_gain / 2 - 1)
                       * np.cos(a_r) * np.cos(a_t)
                       * np.cos(a_ue) ** (scenario.ue_gain / 2 - 1))
-            assert combined_pattern(m, p, layout, scenario) == \
-                pytest.approx(expect, rel=1e-12)
+            assert _combined_pattern_all(p[None], layout, scenario)[0, m] \
+                == pytest.approx(expect, rel=1e-12)
 
     def test_in_unit_interval_over_aoi(self, layout, scenario):
         rng = np.random.default_rng(1)
@@ -86,13 +86,13 @@ class TestCombinedPattern:
             p = np.array([rng.uniform(0.1, 3.1), rng.uniform(-1.5, 1.5),
                           -0.5])
             for m in rng.integers(0, layout.num_cells, size=5):
-                val = combined_pattern(m, p, layout, scenario)
+                val = _combined_pattern_all(p[None], layout, scenario)[0, m]
                 assert 0.0 <= val <= 1.0
 
     def test_back_side_rejected(self, layout, scenario):
         with pytest.raises(GeometryError):
-            combined_pattern(0, np.array([-1.0, 0.0, 0.0]), layout,
-                             scenario)
+            _combined_pattern_all(np.array([[-1.0, 0.0, 0.0]]), layout,
+                                  scenario)
 
 
 class TestChannelCoefficient:
@@ -101,8 +101,8 @@ class TestChannelCoefficient:
         s = default_scenario(bs_gain=2.0, ue_gain=2.0,
                              bs_position=np.array([1.0, 0.0, 0.0]))
         cb = unit_codebook(1, s.num_samples)
-        h = channel_coefficient(0, np.array([1.0, 0.0, 0.0]), np.zeros(3),
-                                lay, cb, s, use_pattern=False)
+        h = _channel_coefficients(np.array([1.0, 0.0, 0.0]), np.zeros(3),
+                                  lay, cb, s, use_pattern=False)[0]
         d_y, d_z = lay.cell_dims
         expect = (np.sqrt(s.bs_gain * s.ue_gain) * d_y * d_z / (4 * np.pi)
                   * np.exp(-4j * np.pi / s.wavelength))
@@ -115,10 +115,10 @@ class TestChannelCoefficient:
         phi0 = 0.8
         from risloc.channel import Codebook
         cb2 = Codebook(gamma=cb.gamma * np.exp(1j * phi0))
-        h1 = channel_coefficient(5, p, DEFAULT_UE_VELOCITY, layout, cb,
-                                 scenario)
-        h2 = channel_coefficient(5, p, DEFAULT_UE_VELOCITY, layout, cb2,
-                                 scenario)
+        h1 = _channel_coefficients(p, DEFAULT_UE_VELOCITY, layout, cb,
+                                   scenario)[5]
+        h2 = _channel_coefficients(p, DEFAULT_UE_VELOCITY, layout, cb2,
+                                   scenario)[5]
         assert h2 == pytest.approx(h1 * np.exp(1j * phi0), rel=1e-12)
 
     def test_magnitude_reciprocity_without_pattern(self):
@@ -128,10 +128,10 @@ class TestChannelCoefficient:
         s1 = default_scenario(bs_gain=4.0, ue_gain=4.0, bs_position=p_bs)
         s2 = default_scenario(bs_gain=4.0, ue_gain=4.0, bs_position=p)
         cb = unit_codebook(9, s1.num_samples)
-        h1 = channel_coefficient(0, p, np.zeros(3), lay, cb, s1,
-                                 use_pattern=False)
-        h2 = channel_coefficient(0, p_bs, np.zeros(3), lay, cb, s2,
-                                 use_pattern=False)
+        h1 = _channel_coefficients(p, np.zeros(3), lay, cb, s1,
+                                   use_pattern=False)[0]
+        h2 = _channel_coefficients(p_bs, np.zeros(3), lay, cb, s2,
+                                   use_pattern=False)[0]
         assert abs(h1) == pytest.approx(abs(h2), rel=1e-12)
 
     def test_far_range_decay(self, layout, scenario):
@@ -140,8 +140,8 @@ class TestChannelCoefficient:
         direction /= np.linalg.norm(direction)
         vals = []
         for r in (200.0, 400.0):
-            h = channel_coefficient(0, r * direction, np.zeros(3), layout,
-                                    cb, scenario, use_pattern=False)
+            h = _channel_coefficients(r * direction, np.zeros(3), layout,
+                                      cb, scenario, use_pattern=False)[0]
             vals.append(abs(h) * r)
         assert vals[0] == pytest.approx(vals[1], rel=1e-2)
 
@@ -151,8 +151,7 @@ class TestChannelCoefficient:
         q = layout.cell_centers
         d_bs = np.linalg.norm(scenario.bs_position - q, axis=1)
         d_ue = np.linalg.norm(p - q, axis=1)
-        f_c = np.array([combined_pattern(m, p, layout, scenario)
-                        for m in range(layout.num_cells)])
+        f_c = _combined_pattern_all(p[None], layout, scenario)[0]
         d_y, d_z = layout.cell_dims
         pref = (np.sqrt(scenario.bs_gain * scenario.ue_gain) * d_y * d_z
                 / (4 * np.pi))
@@ -166,8 +165,8 @@ class TestChannelCoefficient:
             cb = draw_codebook(layout.num_cells, 1,
                                scenario.reflection_set, int(rng.integers(2 ** 62)))
             one = default_scenario(num_samples=1)
-            h2.append(abs(channel_coefficient(0, p, np.zeros(3), layout,
-                                              cb, one)) ** 2)
+            h2.append(abs(_channel_coefficients(p, np.zeros(3), layout,
+                                                cb, one)[0]) ** 2)
         sim_snr = 10 * np.log10(np.mean(h2) * scenario.tx_power
                                 / noise_power(scenario))
         assert sim_snr == pytest.approx(expect_snr, abs=6.0)
@@ -181,7 +180,6 @@ class TestGenerateSnapshot:
         s0 = scenario.noiseless()
         p = np.array([2.0, 0.0, -0.5])
         snap = generate_snapshot(p, DEFAULT_UE_VELOCITY, layout, cb, s0, 9)
-        from risloc.channel import _channel_coefficients
         h = _channel_coefficients(p, DEFAULT_UE_VELOCITY, layout, cb, s0)
         assert np.array_equal(snap.y, h * np.sqrt(s0.tx_power))
 
@@ -198,7 +196,6 @@ class TestGenerateSnapshot:
         s = default_scenario()
         cb = unit_codebook(1, s.num_samples)
         p = np.array([2.0, 0.0, -0.5])
-        from risloc.channel import _channel_coefficients
         signal = _channel_coefficients(p, np.zeros(3), lay, cb, s) \
             * np.sqrt(s.tx_power)
         draws = []
@@ -227,7 +224,6 @@ class TestGenerateSnapshot:
                            scenario.reflection_set, seed=4)
         p = np.array([2.0, 0.0, -0.5])
         snap = generate_snapshot(p, np.zeros(3), layout, cb, scenario, 3)
-        from risloc.channel import _channel_coefficients
         h = _channel_coefficients(p, np.zeros(3), layout, cb, scenario)
         expect = 10 * np.log10(np.abs(h) ** 2 * scenario.tx_power
                                / noise_power(scenario))
@@ -259,13 +255,19 @@ class TestSnapshotIo:
                                  scenario, 21)
         path = tmp_path / "snapshot.txt"
         save_snapshot(snap, scenario, path)
-        loaded = load_snapshot(path)
-        assert np.allclose(loaded.y, snap.y, rtol=1e-11)
-        assert np.allclose(loaded.truth_p, snap.truth_p)
-        assert np.allclose(loaded.truth_v, snap.truth_v)
-        assert np.allclose(loaded.snr_per_sample, snap.snr_per_sample,
-                           rtol=1e-11)
-        assert loaded.seed == 21
+        header = {}
+        for line in path.read_text().splitlines():
+            if line.startswith("#"):
+                key, *values = line[1:].split()
+                header[key] = values
+        ell, re_y, im_y, snr = np.loadtxt(path, unpack=True)
+        assert np.array_equal(ell, np.arange(scenario.num_samples))
+        assert np.allclose(re_y + 1j * im_y, snap.y, rtol=1e-11)
+        assert np.allclose(np.array(header["truth_p_m"], float), snap.truth_p)
+        assert np.allclose(np.array(header["truth_v_mps"], float),
+                           snap.truth_v)
+        assert np.allclose(snr, snap.snr_per_sample, rtol=1e-11)
+        assert int(header["seed"][0]) == 21
 
 
 class TestScenarioValidation:

@@ -11,7 +11,7 @@ from risloc.cli import (EXIT_CONFIG, EXIT_GEOMETRY, EXIT_OK, build_experiment,
                         build_grid, build_parser, build_scenario, config_hash,
                         effective_config, load_config, main, write_trace)
 from risloc.errors import ConfigError
-from risloc.harness import ExperimentConfig, _point_traces
+from risloc.harness import ExperimentConfig, _group_traces
 
 FAST_CONFIG = """
 scenario:
@@ -266,9 +266,9 @@ class TestSingle:
         assert main(argv) == EXIT_OK
         config = build_experiment(load_config(cfg_path),
                                   build_parser().parse_args(argv))
-        traces, _ = _point_traces(dataclasses.replace(config,
+        traces, _ = _group_traces(dataclasses.replace(config,
                                                       variants=("gs-nf",)),
-                                  np.array([2.0, 0.0, -0.5]), 0)
+                                  [np.array([2.0, 0.0, -0.5])], 0)[0]
         write_trace(traces["gs-nf"][0], str(tmp_path / "sweep_trace.txt"))
         assert (tmp_path / "out" / "trace.txt").read_bytes() == \
             (tmp_path / "sweep_trace.txt").read_bytes()
@@ -336,7 +336,14 @@ class TestConfigTable:
         ("single", "scenario:\n  t_k: -1\n", "invalid scenario:"),
         ("sweep-aoi", "experiment:\n  aoi:\n    step_m: 0\n",
          "invalid experiment.aoi:"),
-        ("sweep-aoi", "experiment:\n  variants: []\n", "invalid experiment:")])
+        ("sweep-aoi", "experiment:\n  variants: []\n", "invalid experiment:"),
+        ("single", "layout:\n  cell_size_m: -1\n", "invalid layout:"),
+        ("sweep-line", "experiment:\n  line:\n    x_points_m: []\n",
+         "invalid experiment.line.x_points_m:"),
+        ("sweep-line", "experiment:\n  line:\n    x_points_m: [-1]\n",
+         "invalid experiment.line.x_points_m:"),
+        ("sweep-aoi", "experiment:\n  aoi:\n    x_min_m: -1\n    "
+         "x_max_m: -1\n", "invalid experiment.aoi:")])
     def test_malformed_value_exits_2(self, command, text, named, tmp_path,
                                      capsys):
         path = tmp_path / "bad.yaml"

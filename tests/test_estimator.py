@@ -394,7 +394,7 @@ class TestFfGridSearch:
         from risloc.estimator import _table_chunks
         from risloc.geometry import RisLayout
         scenario = default_scenario(num_samples=4)
-        layout = RisLayout(cell_centers=np.zeros((1, 3)), min_spacing=1e-6)
+        layout = RisLayout(cell_centers=np.zeros((1, 3)))
         cb = draw_codebook(1, 4, scenario.reflection_set, seed=1)
         model = build_steering_model(layout, cb, scenario)
         d_bs = np.linalg.norm(scenario.bs_position)
@@ -504,17 +504,6 @@ class TestRefineLoop:
         y = steering_vector(model, p, DEFAULT_UE_VELOCITY)
         _, _, iters = refine_loop(y, model, p, DEFAULT_UE_VELOCITY)
         assert iters == 1
-
-    def test_max_iter_one_equals_single_refine(self, model):
-        rng = np.random.default_rng(5)
-        p = np.array([1.6, 0.2, -0.5])
-        y = steering_vector(model, p, np.zeros(3)) \
-            + 0.5 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
-        p_a, v_a, _ = cf_refine(y, model, p, np.zeros(3))
-        p_b, v_b, iters = refine_loop(y, model, p, np.zeros(3), max_iter=1)
-        assert iters == 1
-        assert np.array_equal(p_a, p_b)
-        assert np.array_equal(v_a, v_b)
 
     def test_monotone_cost_on_noisy_trials(self):
         model, layout, scenario = toy_model(num_cells=19, num_samples=40,

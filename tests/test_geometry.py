@@ -8,8 +8,7 @@ from risloc.errors import DegenerateLayout, OriginError, OverlapError
 from risloc.geometry import (DEFAULT_CELL_SPACING, RisLayout, SphericalCoord,
                              aperture, build_composite_ris, build_hex_tile,
                              cartesian_to_spherical, fraunhofer_distance,
-                             _row_distances, load_layout, save_layout,
-                             spherical_to_cartesian)
+                             _row_distances, spherical_to_cartesian)
 
 WAVELENGTH = 299792458.0 / 23.8e9
 
@@ -161,15 +160,3 @@ class TestSpherical:
             SphericalCoord(4.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             SphericalCoord(0.0, 2.0, 1.0)
-
-
-class TestLayoutIo:
-    def test_round_trip(self, layout, tmp_path):
-        path = tmp_path / "layout.txt"
-        save_layout(layout, path)
-        loaded = load_layout(path)
-        assert loaded.num_cells == layout.num_cells
-        assert np.allclose(loaded.cell_centers, layout.cell_centers,
-                           atol=1e-9)
-        assert loaded.cell_dims == layout.cell_dims
-        assert loaded.min_spacing == pytest.approx(layout.min_spacing)

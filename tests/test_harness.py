@@ -9,7 +9,7 @@ from risloc.errors import EmptyInput, SingularSystemError, ZeroModelError
 from risloc.estimator import EstimateTrace, GridSpec, estimate
 from risloc.geometry import SphericalCoord
 from risloc.harness import (AoiSpec, ExperimentConfig, PointResult, VARIANTS,
-                            _GROUP_MODELS, _cell_from_traces, _point_traces,
+                            _GROUP_MODELS, _cell_from_traces, _group_traces,
                             _skipped, aoi_sweep, draw_trial, line_sweep,
                             line_table, mix_seed, rms, splitmix64,
                             stage_label, trial_seeds)
@@ -114,13 +114,13 @@ class TestAoiSpec:
 
 
 class TestRunTrial:
-    """One trial as drawn by draw_trial and run by _point_traces."""
+    """One trial as drawn by draw_trial and run by _group_traces."""
 
     def test_noiseless_trial_recovers_truth(self, layout, scenario):
         cfg = ExperimentConfig(scenario=scenario.noiseless(), layout=layout,
                                grid=small_grid(), runs=1, seed_base=3)
         truth_p = np.array([2.0, 0.0, -0.5])
-        traces, mean_snr = _point_traces(cfg, truth_p, 0)
+        traces, mean_snr = _group_traces(cfg, [truth_p], 0)[0]
         trace = traces["gs-nf"][0]
         p_fin, v_fin = trace.final
         # Noiseless but with the antenna pattern in the generative model,
@@ -136,8 +136,8 @@ class TestRunTrial:
         model_b, snaps_b = draw_trial(fast_config, truth_p, 0, 1, (True,))
         assert np.array_equal(model_a.w, model_b.w)
         assert np.array_equal(snaps_a[True].y, snaps_b[True].y)
-        a, _ = _point_traces(fast_config, truth_p, 0)
-        b, _ = _point_traces(fast_config, truth_p, 0)
+        a, _ = _group_traces(fast_config, [truth_p], 0)[0]
+        b, _ = _group_traces(fast_config, [truth_p], 0)[0]
         assert np.array_equal(a["gs-nf"][1].final[0], b["gs-nf"][1].final[0])
         assert np.array_equal(a["gs-nf"][1].final[1], b["gs-nf"][1].final[1])
 
@@ -147,16 +147,15 @@ class TestRunTrial:
         model_1, snaps_1 = draw_trial(fast_config, truth_p, 0, 1, (True,))
         assert not np.array_equal(model_0.w, model_1.w)
         assert not np.array_equal(snaps_0[True].y, snaps_1[True].y)
-        traces, _ = _point_traces(fast_config, truth_p, 0)
+        traces, _ = _group_traces(fast_config, [truth_p], 0)[0]
         p_0, p_1 = (t.final[0] for t in traces["gs-nf"])
         assert np.linalg.norm(p_0 - truth_p) != np.linalg.norm(p_1 - truth_p)
 
     def test_stage_errors_cover_trace(self, fast_config):
         truth_p = np.array([1.8, 0.1, -0.5])
-        traces, mean_snr = _point_traces(fast_config, truth_p, 0)
+        traces, mean_snr = _group_traces(fast_config, [truth_p], 0)[0]
         point = PointResult(truth_p=truth_p, d_r=np.linalg.norm(truth_p),
-                            traces=traces, mean_snr_db=mean_snr,
-                            skipped=_skipped(traces))
+                            traces=traces, mean_snr_db=mean_snr)
         rows = {r["stage"]: r for r in line_table([point],
                                                   fast_config.truth_v)}
         for trace in traces["gs-nf"]:
@@ -172,7 +171,7 @@ class TestRunTrial:
                                grid=small_grid(), runs=2, seed_base=5,
                                variants=tuple(VARIANTS))
         truth_p = np.array([1.8, 0.1, -0.5])
-        traces, _ = _point_traces(cfg, truth_p, point_index=0)
+        traces, _ = _group_traces(cfg, [truth_p], 0)[0]
         for run in range(cfg.runs):
             model, snaps = draw_trial(cfg, truth_p, 0, run, (True, False))
             for variant, spec in VARIANTS.items():
@@ -210,7 +209,7 @@ class TestFineTables:
         cfg = ExperimentConfig(scenario=scenario, layout=layout,
                                grid=small_grid(), runs=3, seed_base=5,
                                variants=("gs-nf-fine", "noap", "gs-nf"))
-        traces, _ = _point_traces(cfg, np.array([1.8, 0.1, -0.5]), 0)
+        traces, _ = _group_traces(cfg, [np.array([1.8, 0.1, -0.5])], 0)[0]
         fine = [t for v in ("gs-nf-fine", "noap") for t in traces[v]]
         cells = {tuple(t.stage_named("GS").p) for t in fine}
         # One coarse table, then one fine table per distinct coarse cell.
@@ -301,7 +300,7 @@ class TestGroupedSweeps:
         base = dict(scenario=scenario, layout=layout, grid=small_grid(),
                     runs=runs, seed_base=13, variants=tuple(VARIANTS))
         cfg = ExperimentConfig(**base)
-        alone = [_point_traces(cfg, np.array([x, 0.0, -0.5]), i)
+        alone = [_group_traces(cfg, [np.array([x, 0.0, -0.5])], i)[0]
                  for i, x in enumerate(xs)]
         for i, (x, (_, mean_snr)) in enumerate(zip(xs, alone)):
             snr = [draw_trial(cfg, np.array([x, 0.0, -0.5]), i, run,
@@ -315,7 +314,9 @@ class TestGroupedSweeps:
             for res, (traces, mean_snr) in zip(got, alone):
                 assert_same_traces(res.traces, traces)
                 assert res.mean_snr_db == mean_snr
-                assert res.skipped == _skipped(traces)
+                for row in line_table([res], cfg.truth_v):
+                    assert row["skipped"] == \
+                        _skipped(traces)[row["variant"]]
 
     @pytest.mark.parametrize("runs", [1, 2])
     def test_aoi_sweep_matches_points_run_alone(self, layout, scenario,
@@ -329,7 +330,7 @@ class TestGroupedSweeps:
                     aoi=aoi, runs=runs, seed_base=17, variants=("gs-nf",))
         cfg = ExperimentConfig(**base)
         points = aoi.grid_points()
-        alone = [_point_traces(cfg, p, i) for i, p in enumerate(points)]
+        alone = [_group_traces(cfg, [p], i)[0] for i, p in enumerate(points)]
         expect = [_cell_from_traces(p, traces, mean_snr, cfg.truth_v,
                                     cfg.grid.covers(p))
                   for p, (traces, mean_snr) in zip(points, alone)]
@@ -444,7 +445,7 @@ class TestFailureAccounting:
                                                     rel=1e-9)
         assert cell.skipped == {"gs-nf": 1}
         point = PointResult(truth_p=truth_p, d_r=2.06, traces=traces,
-                            mean_snr_db=10.0, skipped={"gs-nf": 1})
+                            mean_snr_db=10.0)
         rows = line_table([point], np.zeros(3))
         assert [r["skipped"] for r in rows] == [1, 1, 1]
         assert all(r["runs"] == 2 for r in rows)
