@@ -198,11 +198,17 @@ def build_grid(cfg):
     return _build(GridSpec, cfg, "grid")
 
 
+def build_line(cfg):
+    """The line sweep's points, as keyword arguments of ``line_sweep``."""
+    return _build(dict, cfg, "experiment.line", **_LINE_DEFAULTS)
+
+
 def build_experiment(cfg, args):
     """The experiment of ``cfg`` with the flags of ``args`` applied. Apart
     from the thread count it reads only :func:`effective_config`, so the
-    manifest hashes what runs."""
+    manifest hashes what runs. Every command checks the line section."""
     eff = effective_config(cfg, args)
+    build_line(eff)
     threads = getattr(args, "threads", None)
     return _build(ExperimentConfig, eff, "experiment",
                   scenario=build_scenario(eff),
@@ -304,7 +310,7 @@ def cmd_sweep_aoi(args):
 def cmd_sweep_line(args):
     cfg = load_config(args.config)
     config = build_experiment(cfg, args)
-    line = _build(dict, cfg, "experiment.line", **_LINE_DEFAULTS)
+    line = build_line(cfg)
     start = time.time()
     os.makedirs(args.out, exist_ok=True)
     results = line_sweep(config, **line)

@@ -16,15 +16,17 @@ All grid searches (coarse and fine near-field, far-field directions and
 the far-field range line) share one table builder and one scorer. The
 builder yields the table exp(j phi_nm) b_m in chunks of real re/im
 planes, with the hypothesized RIS-UE phase phi and the known BS phase b
-folded in. The reflection set has exactly two values, so the codebook is
-an offset plus a +/-1 sign matrix up to a common factor, which the
-projection cost ignores. The scorer bounds every candidate's score from
-above with a few real GEMMs against a K-direction basis that spans the
-snapshots, then rescores in double precision only the candidates whose
-bound reaches the best score, so every winner is the grid's exact
-optimum. Sweeps cache the coarse tables per (grid, layout, BS position)
-and score many snapshots per pass; one-shot searches stream the chunks
-and keep nothing. Fine tables are kept one at a time.
+folded in; it fills each chunk in place a cache-sized block at a time.
+The reflection set has exactly two values, so the codebook is an offset
+plus a +/-1 sign matrix up to a common factor, which the projection cost
+ignores. The scorer bounds every candidate's score from above with a
+few real GEMMs against a K-direction basis that spans the snapshots,
+then rescores in double precision only the candidates whose bound
+reaches the best score, so every winner is the grid's exact optimum.
+Sweeps cache the coarse tables per (grid, layout, BS position)
+in large chunks and score many snapshots per pass; one-shot searches
+stream the table one block per chunk, score each block while it is in
+cache, and keep nothing. Fine tables are kept one at a time.
 """
 
 import threading
@@ -44,6 +46,8 @@ from .geometry import (SphericalCoord, cartesian_to_spherical,
 # _best_candidates).
 _SINGLE_PRECISION_THRESHOLD = 4_000_000
 
+#: Rows per chunk of a cached table, which is scored again and again: the
+#: bound pass's per-chunk bookkeeping grows as chunks shrink.
 _CHUNK_ROWS = 16384
 
 #: Real directions per model in the basis of the bound pass: the real and
@@ -59,9 +63,10 @@ _BOUND_DIRECTIONS = 8
 #: (1.2e-4 in float32, 2.3e-13 in float64) covers this with margin.
 _BOUND_SLACK_ROUNDOFFS = 2048
 
-#: Rows rebuilt in double precision per block of the rescoring pass, so
-#: that its temporaries stay a small share of one bound-pass chunk's.
-_RESCORE_ROWS = 2048
+#: Rows per block of the table builder: its working set stays in cache.
+#: Streamed tables yield one block per chunk, and the rescoring pass
+#: rebuilds its candidates in double precision a block at a time.
+_BLOCK_ROWS = 2048
 
 _CACHE_BYTES_LIMIT = 2_400_000_000
 
@@ -331,8 +336,8 @@ _COARSE_TABLES = _TableCache(_CACHE_BYTES_LIMIT)
 _FINE_TABLES = _TableCache(0)
 
 
-def _table_chunks(points, ranges, model, dtype):
-    """Yield the steering table _CHUNK_ROWS rows at a time as (re, im,
+def _table_chunks(points, ranges, model, dtype, chunk_rows):
+    """Yield the steering table ``chunk_rows`` rows at a time as (re, im,
     row sums).
 
     With ``ranges`` (near field), row n holds exp(-j k (||p_n - q_m|| -
@@ -344,33 +349,41 @@ def _table_chunks(points, ranges, model, dtype):
     k0 = 2.0 * np.pi / model.wavelength
     q = model.cell_centers.astype(dtype)
     nq2 = (q ** 2).sum(axis=1)
+    # -2 is a power of two, so -2 (p.q) is exact inside the GEMM.
+    q_gemm = q if ranges is None else -2.0 * q
     bs_phase = model.bs_phase.astype(dtype)
-    ones = np.ones(len(q), dtype=dtype)
-    for lo in range(0, len(points), _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, len(points))
-        # Every step works in place on the (rows, cells) product, so no
-        # more than two such arrays are alive at any time.
-        phase = points[lo:hi].astype(dtype) @ q.T           # p.q
-        if ranges is None:
-            phase *= k0
-        else:
-            phase *= -2.0
-            phase += nq2                                    # d^2 - r^2
-            r_blk = ranges[lo:hi, None].astype(dtype)
-            dist = r_blk ** 2 + phase
-            np.maximum(dist, 0.0, out=dist)
-            np.sqrt(dist, out=dist)
-            dist += r_blk
-            phase *= -k0
-            phase /= dist
-            del dist
-        phase += bs_phase
-        re = np.cos(phase)
-        im = np.sin(phase, out=phase)
-        del phase
-        yield re, im, re @ ones + 1j * (im @ ones)
-        # Drop this chunk's planes before the next one is built.
-        del re, im
+    for lo in range(0, len(points), chunk_rows):
+        pts = points[lo:lo + chunk_rows]
+        re = np.empty((len(pts), len(q)), dtype=dtype)
+        im = np.empty_like(re)
+        rowsum = np.empty(len(pts), dtype=np.result_type(dtype, 1j))
+        for b in range(0, len(pts), _BLOCK_ROWS):
+            blk = slice(b, b + _BLOCK_ROWS)
+            # Fill a block of the planes in place, in cache (phase in im,
+            # distance in re): the GEMM, 10 elementwise passes near field
+            # (4 far field) and two row sums, each row reduced on its own
+            # so that it depends on neither the block nor BLAS threads.
+            phase, dist = im[blk], re[blk]
+            np.matmul(pts[blk].astype(dtype), q_gemm.T, out=phase)
+            if ranges is None:
+                phase *= k0
+            else:
+                phase += nq2                                # d^2 - r^2
+                r_blk = ranges[lo:lo + chunk_rows][blk, None].astype(dtype)
+                np.add(r_blk ** 2, phase, out=dist)
+                np.maximum(dist, 0.0, out=dist)
+                np.sqrt(dist, out=dist)
+                dist += r_blk
+                phase *= -k0
+                phase /= dist
+            phase += bs_phase
+            np.cos(phase, out=dist)
+            np.sin(phase, out=phase)
+            np.einsum("ij->i", dist, out=rowsum.real[blk])
+            np.einsum("ij->i", phase, out=rowsum.imag[blk])
+        yield re, im, rowsum
+        # Drop the planes and their block views before the next chunk.
+        del re, im, rowsum, phase, dist
 
 
 def _table(model, num_rows, candidates, cache=None, key=None):
@@ -382,7 +395,8 @@ def _table(model, num_rows, candidates, cache=None, key=None):
 
     def build(stream):
         coords, positions, ranges = candidates()
-        chunks = _table_chunks(positions, ranges, model, dtype)
+        chunks = _table_chunks(positions, ranges, model, dtype,
+                               _BLOCK_ROWS if stream else _CHUNK_ROWS)
         return _Table(coords, positions, chunks if stream else list(chunks),
                       dtype, ranges is None)
 
@@ -544,7 +558,7 @@ class _BoundPass:
     def winners(self, table):
         """Per entry, the winning index of each snapshot: the best
         double-precision score among its kept candidates, visited by
-        falling bound in blocks of _RESCORE_ROWS until no remaining bound
+        falling bound in blocks of _BLOCK_ROWS until no remaining bound
         reaches the best score; lowest index on ties."""
         j = self.ys.shape[1]
         return [[self._rescore(table, t, snap, t * j + snap)
@@ -556,16 +570,18 @@ class _BoundPass:
         idx, bound = self.idx[mine], self.bound[mine]
         order = np.argsort(-bound, kind="stable")
         best, best_i = -np.inf, None
-        for lo in range(0, len(order), _RESCORE_ROWS):
-            block = order[lo:lo + _RESCORE_ROWS]
+        for lo in range(0, len(order), _BLOCK_ROWS):
+            block = order[lo:lo + _BLOCK_ROWS]
             if bound[block[0]] + self.slack.flat[unit] < best:
                 break
             rows = idx[block]
             ranges = None if table.far_field else table.coords[rows, 2]
             (re, im, rowsum), = _table_chunks(
-                table.positions[rows], ranges, model, np.float64)
+                table.positions[rows], ranges, model, np.float64,
+                _BLOCK_ROWS)
             h = re @ model.signs + 1j * (im @ model.signs) \
                 + rowsum[:, None] * model.offset
+            del re, im              # before the next block is built
             score = _scores(h, y)
             top = score.max()
             i = int(rows[score == top].min())

@@ -342,6 +342,10 @@ class TestConfigTable:
          "invalid experiment.line.x_points_m:"),
         ("sweep-line", "experiment:\n  line:\n    x_points_m: [-1]\n",
          "invalid experiment.line.x_points_m:"),
+        ("single", "experiment:\n  line:\n    x_points_m: []\n",
+         "invalid experiment.line.x_points_m:"),
+        ("sweep-aoi", "experiment:\n  line:\n    y_m: abc\n",
+         "invalid experiment.line.y_m:"),
         ("sweep-aoi", "experiment:\n  aoi:\n    x_min_m: -1\n    "
          "x_max_m: -1\n", "invalid experiment.aoi:")])
     def test_malformed_value_exits_2(self, command, text, named, tmp_path,

@@ -242,7 +242,8 @@ class TestBoundRescore:
     @staticmethod
     def bounds_and_scores(model, ys, points, ranges):
         from risloc.estimator import _BoundPass, _table_chunks
-        (re, im, rowsum), = _table_chunks(points, ranges, model, np.float64)
+        (re, im, rowsum), = _table_chunks(points, ranges, model, np.float64,
+                                          len(points))
         bounds = _BoundPass([(model, ys)], np.float64).bounds(re, im, rowsum)
         h = re @ model.signs + 1j * (im @ model.signs) \
             + rowsum[:, None] * model.offset
@@ -299,10 +300,10 @@ class TestBoundRescore:
         blocks = []
         build = estimator._table_chunks
 
-        def counting_build(points, ranges, model, dtype):
-            if len(points) <= estimator._RESCORE_ROWS:
+        def counting_build(points, ranges, model, dtype, chunk_rows):
+            if len(points) <= estimator._BLOCK_ROWS:
                 blocks.append(len(points))
-            return build(points, ranges, model, dtype)
+            return build(points, ranges, model, dtype, chunk_rows)
 
         monkeypatch.setattr(estimator, "_table_chunks", counting_build)
         for cache in (False, True):
@@ -311,7 +312,7 @@ class TestBoundRescore:
                 assert coord == want
                 assert cost == pytest.approx(want_cost, rel=1e-9)
         # The noise snapshot rescored more than one block on each pass.
-        assert sum(blocks) > 2 * 2 * estimator._RESCORE_ROWS
+        assert sum(blocks) > 2 * 2 * estimator._BLOCK_ROWS
 
     @pytest.mark.slow
     @pytest.mark.parametrize("d_r, variant, run", [
@@ -336,6 +337,57 @@ class TestBoundRescore:
         got, cost = nf_fine_grid_search(y, model, coarse)
         assert got == grid_coord(spec, np.argmin(costs))
         assert cost == pytest.approx(costs.min(), rel=1e-9)
+
+
+class TestTableBlocks:
+    """The table builder fills each chunk a block at a time."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("far_field", [False, True])
+    def test_chunks_equal_one_block(self, model, monkeypatch, far_field,
+                                    dtype):
+        from risloc import estimator
+        rng = np.random.default_rng(3)
+        points = rng.uniform([0.3, -1.0, -1.0], [2.0, 1.0, 1.0], (5000, 3))
+        ranges = np.linalg.norm(points, axis=1)
+        if far_field:
+            points, ranges = points / ranges[:, None], None
+
+        def planes(chunk_rows):
+            chunks = list(estimator._table_chunks(points, ranges, model,
+                                                  dtype, chunk_rows))
+            return len(chunks), [np.concatenate(c) for c in zip(*chunks)]
+
+        streamed = planes(estimator._BLOCK_ROWS)
+        cached = planes(estimator._CHUNK_ROWS)
+        monkeypatch.setattr(estimator, "_BLOCK_ROWS", len(points))
+        reference = planes(len(points))
+        # 5000 rows: two full blocks and a short one.
+        assert (streamed[0], cached[0]) == (3, 1)
+        for _, got in (streamed, cached):
+            for a, b in zip(got, reference[1]):       # re, im, row sums
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+    def test_streamed_search_holds_one_block(self, model):
+        import tracemalloc
+        from risloc import estimator
+        grid = GridSpec(azimuth_deg=(-30, 30, 1), elevation_deg=(-30, 30, 1),
+                        range_m=(0.1, 3.9, 0.2))
+        cells = model.cell_centers.shape[0]
+        assert grid.num_candidates >= 4 * estimator._CHUNK_ROWS
+        assert grid.num_candidates * cells \
+            > estimator._SINGLE_PRECISION_THRESHOLD      # float32 table
+        y = steering_vector(model, np.array([1.5, 0.2, -0.5]), np.zeros(3))
+        tracemalloc.start()
+        try:
+            nf_grid_search(y, model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One float32 plane of a cached chunk, half a chunk pair; the
+        # streamed search holds a block pair, a quarter of that.
+        assert peak < estimator._CHUNK_ROWS * cells * 4
 
 
 class TestFineGridSearch:
@@ -402,7 +454,7 @@ class TestFfGridSearch:
         dirs = np.array([spherical_to_cartesian(
             SphericalCoord(np.deg2rad(a), np.deg2rad(e), 1.0))
             for a in (-30, 0, 30) for e in (-30, 0, 30)])
-        for re, im, _ in _table_chunks(dirs, None, model, np.float64):
+        for re, im, _ in _table_chunks(dirs, None, model, np.float64, 4):
             assert np.allclose(re + 1j * im, expect, rtol=0, atol=1e-12)
 
     def test_far_point_direction_recovered(self, layout, scenario, model):
