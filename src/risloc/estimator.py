@@ -14,18 +14,17 @@ Levenberg-Marquardt solve.
 
 All grid searches (coarse and fine near-field, far-field directions and
 the far-field range line) share one table builder and one scorer. The
-builder yields the table exp(j phi_nm) b_m in chunks of real re/im
-planes, with the hypothesized RIS-UE phase phi and the known BS phase b
-folded in; it fills each chunk in place a cache-sized block at a time.
-The reflection set has exactly two values, so the codebook is an offset
-plus a +/-1 sign matrix up to a common factor, which the projection cost
-ignores. The scorer bounds every candidate's score from above with a
-few real GEMMs against a K-direction basis that spans the snapshots,
-then rescores in double precision only the candidates whose bound
-reaches the best score, so every winner is the grid's exact optimum.
-Sweeps cache the coarse tables per (grid, layout, BS position)
-in large chunks and score many snapshots per pass; one-shot searches
-stream the table one block per chunk, score each block while it is in
+builder yields every table exp(j phi_nm) b_m in the same cache-sized
+blocks of real re/im planes, with the hypothesized RIS-UE phase phi and
+the known BS phase b folded in. The reflection set has exactly two
+values, so the codebook is an offset plus a +/-1 sign matrix up to a
+common factor, which the projection cost ignores. The scorer bounds
+every candidate's score from above with a few real GEMMs against a
+K-direction basis that spans the snapshots, then rescores in double
+precision only the candidates whose bound reaches the best score, so
+every winner is the grid's exact optimum. Sweeps cache the coarse tables
+per (grid, layout, BS position) and score many snapshots per pass;
+one-shot searches stream the table, score each block while it is in
 cache, and keep nothing. Fine tables are kept one at a time.
 """
 
@@ -46,10 +45,6 @@ from .geometry import (SphericalCoord, cartesian_to_spherical,
 # _best_candidates).
 _SINGLE_PRECISION_THRESHOLD = 4_000_000
 
-#: Rows per chunk of a cached table, which is scored again and again: the
-#: bound pass's per-chunk bookkeeping grows as chunks shrink.
-_CHUNK_ROWS = 16384
-
 #: Real directions per model in the basis of the bound pass: the real and
 #: imaginary parts of the model's snapshots, then the leading
 #: eigenvectors of the Gram matrix of its responses.
@@ -63,9 +58,7 @@ _BOUND_DIRECTIONS = 8
 #: (1.2e-4 in float32, 2.3e-13 in float64) covers this with margin.
 _BOUND_SLACK_ROUNDOFFS = 2048
 
-#: Rows per block of the table builder: its working set stays in cache.
-#: Streamed tables yield one block per chunk, and the rescoring pass
-#: rebuilds its candidates in double precision a block at a time.
+#: Rows per block of every table: the builder's working set stays in cache.
 _BLOCK_ROWS = 2048
 
 _CACHE_BYTES_LIMIT = 2_400_000_000
@@ -139,7 +132,7 @@ def build_steering_model(layout, codebook, scenario):
 class GridSpec:
     """Inclusive (start, stop, step) axes of the 3D search grid.
 
-    Azimuth and elevation are in degrees, range in meters.
+    Azimuth and elevation are in degrees within [-90, 90], range in meters.
     """
 
     azimuth_deg: tuple = (-70.0, 70.0, 1.0)
@@ -155,15 +148,18 @@ class GridSpec:
                 raise ValueError(f"{name} step must be positive")
             if hi < lo:
                 raise ValueError(f"{name} axis is empty")
+            if name != "range" and not (-90 <= lo and hi <= 90):
+                raise ValueError(f"{name} axis must lie within [-90, 90] deg")
         if self.range_m[0] <= 0:
             raise ValueError("range axis must be strictly positive")
 
     def axis_values(self):
-        """The three axis arrays (azimuth deg, elevation deg, range m)."""
-        return tuple(np.arange(lo, hi + 0.5 * step, step)
+        """The three axis arrays (azimuth deg, elevation deg, range m); an
+        angle axis whose last step would pass 90 deg ends there."""
+        az, el, r = (np.arange(lo, hi + 0.5 * step, step)
                      for lo, hi, step in (self.azimuth_deg,
-                                          self.elevation_deg,
-                                          self.range_m))
+                                          self.elevation_deg, self.range_m))
+        return np.minimum(az, 90.0), np.minimum(el, 90.0), r
 
     @property
     def num_candidates(self):
@@ -299,7 +295,7 @@ def projection_cost(y, h):
 
 
 #: Candidate coordinates (az rad, el rad, r m) and positions (m) plus the
-#: steering table as chunks of ``dtype`` from :func:`_table_chunks`: a list
+#: steering table as blocks of ``dtype`` from :func:`_table_chunks`: a list
 #: when cached, a generator when streamed. ``far_field`` tables hold unit
 #: directions without ranges.
 _Table = namedtuple("_Table", "coords positions chunks dtype far_field")
@@ -336,9 +332,9 @@ _COARSE_TABLES = _TableCache(_CACHE_BYTES_LIMIT)
 _FINE_TABLES = _TableCache(0)
 
 
-def _table_chunks(points, ranges, model, dtype, chunk_rows):
-    """Yield the steering table ``chunk_rows`` rows at a time as (re, im,
-    row sums).
+def _table_chunks(points, ranges, model, dtype):
+    """Yield the steering table _BLOCK_ROWS rows at a time as (re, im, row
+    sums).
 
     With ``ranges`` (near field), row n holds exp(-j k (||p_n - q_m|| -
     r_n)) b_m for the candidate p_n at range r_n; ``d - r`` is evaluated as
@@ -352,38 +348,37 @@ def _table_chunks(points, ranges, model, dtype, chunk_rows):
     # -2 is a power of two, so -2 (p.q) is exact inside the GEMM.
     q_gemm = q if ranges is None else -2.0 * q
     bs_phase = model.bs_phase.astype(dtype)
-    for lo in range(0, len(points), chunk_rows):
-        pts = points[lo:lo + chunk_rows]
-        re = np.empty((len(pts), len(q)), dtype=dtype)
-        im = np.empty_like(re)
-        rowsum = np.empty(len(pts), dtype=np.result_type(dtype, 1j))
-        for b in range(0, len(pts), _BLOCK_ROWS):
-            blk = slice(b, b + _BLOCK_ROWS)
-            # Fill a block of the planes in place, in cache (phase in im,
-            # distance in re): the GEMM, 10 elementwise passes near field
-            # (4 far field) and two row sums, each row reduced on its own
-            # so that it depends on neither the block nor BLAS threads.
-            phase, dist = im[blk], re[blk]
-            np.matmul(pts[blk].astype(dtype), q_gemm.T, out=phase)
-            if ranges is None:
-                phase *= k0
-            else:
-                phase += nq2                                # d^2 - r^2
-                r_blk = ranges[lo:lo + chunk_rows][blk, None].astype(dtype)
-                np.add(r_blk ** 2, phase, out=dist)
-                np.maximum(dist, 0.0, out=dist)
-                np.sqrt(dist, out=dist)
-                dist += r_blk
-                phase *= -k0
-                phase /= dist
-            phase += bs_phase
-            np.cos(phase, out=dist)
-            np.sin(phase, out=phase)
-            np.einsum("ij->i", dist, out=rowsum.real[blk])
-            np.einsum("ij->i", phase, out=rowsum.imag[blk])
+    for lo in range(0, len(points), _BLOCK_ROWS):
+        blk = slice(lo, lo + _BLOCK_ROWS)
+        pts = points[blk].astype(dtype)
+        # Both planes in one allocation, which numpy backs with huge pages
+        # from 4 MiB up: a cached table then takes far fewer page faults.
+        # They are filled in place (phase in im, distance in re): the GEMM,
+        # 10 elementwise passes near field (4 far field) and two row sums,
+        # each row reduced on its own so that it depends on neither the
+        # block nor BLAS threads.
+        re, im = np.empty((2, len(pts), len(q)), dtype=dtype)
+        np.matmul(pts, q_gemm.T, out=im)
+        if ranges is None:
+            im *= k0
+        else:
+            im += nq2                                       # d^2 - r^2
+            r_blk = ranges[blk, None].astype(dtype)
+            np.add(r_blk ** 2, im, out=re)
+            np.maximum(re, 0.0, out=re)
+            np.sqrt(re, out=re)
+            re += r_blk
+            im *= -k0
+            im /= re
+        im += bs_phase
+        np.cos(im, out=re)
+        np.sin(im, out=im)
+        rowsum = np.empty(len(re), dtype=np.result_type(dtype, 1j))
+        np.einsum("ij->i", re, out=rowsum.real)
+        np.einsum("ij->i", im, out=rowsum.imag)
         yield re, im, rowsum
-        # Drop the planes and their block views before the next chunk.
-        del re, im, rowsum, phase, dist
+        # Drop the planes before the next block is built.
+        del re, im, rowsum
 
 
 def _table(model, num_rows, candidates, cache=None, key=None):
@@ -395,9 +390,8 @@ def _table(model, num_rows, candidates, cache=None, key=None):
 
     def build(stream):
         coords, positions, ranges = candidates()
-        chunks = _table_chunks(positions, ranges, model, dtype,
-                               _BLOCK_ROWS if stream else _CHUNK_ROWS)
-        return _Table(coords, positions, chunks if stream else list(chunks),
+        blocks = _table_chunks(positions, ranges, model, dtype)
+        return _Table(coords, positions, blocks if stream else list(blocks),
                       dtype, ranges is None)
 
     if cache is None:
@@ -484,10 +478,12 @@ class _BoundPass:
     """Both passes of :func:`_best_candidates` for a batch of T (model,
     snapshots) entries of J snapshots each.
 
-    Pass 1 (:meth:`add_chunk`) keeps a floor under each snapshot's best
-    score, from the exact score of its best-bounded row per chunk, and the
-    candidates whose bound still reaches it. Pass 2 (:meth:`winners`)
-    rescores those in double precision.
+    Pass 1 (:meth:`add_chunk`, per table block) keeps a floor under each
+    snapshot's best score, from exact scores of best-bounded rows, and the
+    candidates whose bound reaches it; floors only rise, so one filter
+    against the final floors (:meth:`survivors`) keeps what filtering after
+    every block would. Pass 2 (:meth:`winners`) rescores those in double
+    precision.
     """
 
     def __init__(self, entries, dtype):
@@ -514,12 +510,10 @@ class _BoundPass:
         self.slack = _BOUND_SLACK_ROUNDOFFS * roundoff \
             * np.sum(np.abs(self.ys) ** 2, axis=2)
         self.floor = np.full((num_models, j), -np.inf)
-        self.idx = np.empty(0, dtype=int)
-        self.unit = np.empty(0, dtype=int)   # t * J + snapshot
-        self.bound = np.empty(0)
+        self.kept = []   # (rows, t * J + snapshot, bound) per block
 
     def bounds(self, re, im, rowsum):
-        """(T, J, n) bounds |z^H c|^2 / ||z||^2 of a chunk's n rows."""
+        """(T, J, n) bounds |z^H c|^2 / ||z||^2 of a block's n rows."""
         (t, j2, k), n = self.c.shape, len(re)
         j = j2 // 2
         # The GEMM outputs stay (n, T K): BLAS reads each model's (K, n)
@@ -539,46 +533,51 @@ class _BoundPass:
                 + (b[:, :j] - a[:, j:]) ** 2) / den[:, None, :]
 
     def add_chunk(self, re, im, rowsum, start):
-        """Bound the rows of a chunk that starts at row ``start``, raise
+        """Bound the rows of a block that starts at row ``start``, raise
         the floors and keep the rows that can still win."""
         bound = self.bounds(re, im, rowsum)
         j = bound.shape[1]
         top = np.argmax(bound, axis=2)                    # (T, J)
-        h = (re[top].astype(float) + 1j * im[top]) @ self.sp
-        self.floor = np.maximum(self.floor,
-                                _scores(h, self.ys) - self.slack)
+        # A row scores at most its bound plus the slack, so only an entry
+        # with a top bound above its floor can raise a floor.
+        ts = np.flatnonzero((bound.max(axis=2) > self.floor).any(axis=1))
+        h = (re[top[ts]].astype(float) + 1j * im[top[ts]]) @ self.sp[ts]
+        self.floor[ts] = np.maximum(self.floor[ts],
+                                    _scores(h, self.ys[ts]) - self.slack[ts])
         reach = self.floor - self.slack
         ts, js, rows = np.nonzero(bound >= reach[:, :, None])
-        idx = np.concatenate([self.idx, start + rows])
-        unit = np.concatenate([self.unit, ts * j + js])
-        bnd = np.concatenate([self.bound, bound[ts, js, rows]])
-        keep = bnd >= reach.flat[unit]
-        self.idx, self.unit, self.bound = idx[keep], unit[keep], bnd[keep]
+        self.kept.append((start + rows, ts * j + js, bound[ts, js, rows]))
+
+    def survivors(self):
+        """(rows, t * J + snapshot, bound) of the kept candidates whose
+        bound reaches the final floor, in table order."""
+        idx, unit, bound = (np.concatenate(a) for a in zip(*self.kept))
+        keep = bound >= (self.floor - self.slack).flat[unit]
+        return idx[keep], unit[keep], bound[keep]
 
     def winners(self, table):
         """Per entry, the winning index of each snapshot: the best
-        double-precision score among its kept candidates, visited by
+        double-precision score among its surviving candidates, visited by
         falling bound in blocks of _BLOCK_ROWS until no remaining bound
         reaches the best score; lowest index on ties."""
+        idx, unit, bound = self.survivors()
         j = self.ys.shape[1]
-        return [[self._rescore(table, t, snap, t * j + snap)
+        return [[self._rescore(table, t, snap, idx[unit == t * j + snap],
+                               bound[unit == t * j + snap])
                  for snap in range(j)] for t in range(len(self.ys))]
 
-    def _rescore(self, table, t, snap, unit):
+    def _rescore(self, table, t, snap, idx, bound):
         model, y = self.models[t], self.ys[t, snap]
-        mine = self.unit == unit
-        idx, bound = self.idx[mine], self.bound[mine]
         order = np.argsort(-bound, kind="stable")
         best, best_i = -np.inf, None
         for lo in range(0, len(order), _BLOCK_ROWS):
             block = order[lo:lo + _BLOCK_ROWS]
-            if bound[block[0]] + self.slack.flat[unit] < best:
+            if bound[block[0]] + self.slack[t, snap] < best:
                 break
             rows = idx[block]
             ranges = None if table.far_field else table.coords[rows, 2]
             (re, im, rowsum), = _table_chunks(
-                table.positions[rows], ranges, model, np.float64,
-                _BLOCK_ROWS)
+                table.positions[rows], ranges, model, np.float64)
             h = re @ model.signs + 1j * (im @ model.signs) \
                 + rowsum[:, None] * model.offset
             del re, im              # before the next block is built
@@ -601,7 +600,7 @@ def _best_candidates(table, entries):
     orthonormal basis Q (L x K) spans the snapshots, so h^H y = z^H c with
     z = Q^T h and c = Q^T y, and |z^H c|^2 / ||z||^2 bounds the score from
     above because ||z|| <= ||h||. With h = S'^T t for a table row t, two
-    real GEMMs of each chunk's planes with the stacked S Q of all models,
+    real GEMMs of each block's planes with the stacked S Q of all models,
     plus the offset times the row sums, give every z. Pass 2 rescores the
     candidates whose bound reaches the best score (see
     :class:`_BoundPass`).
@@ -611,7 +610,7 @@ def _best_candidates(table, entries):
     for re, im, rowsum in table.chunks:
         bound_pass.add_chunk(re, im, rowsum, start)
         start += len(re)
-        # Free a streamed chunk before the next one is built.
+        # Free a streamed block before the next one is built.
         del re, im, rowsum
     return bound_pass.winners(table)
 
@@ -640,7 +639,7 @@ def nf_grid_search_batch(entries, grid, cache=True):
     position and wavelength. Returns, per entry, a list of
     ``(SphericalCoord, cost)`` results (v assumed zero). With ``cache``
     the table is built once and kept for later searches on the same grid;
-    without, each chunk is built, scored and dropped.
+    without, each block is built, scored and dropped.
 
     One call reads the whole table once, however many entries it scores,
     and its working set grows with their number; sweeps pass up to
@@ -669,7 +668,7 @@ _FINE_RANGE_STEP_M = 0.005
 def fine_grid_spec(coarse):
     """Refined grid centered on a coarse estimate.
 
-    Elevation is clipped to +/-90 deg and the range axis to positive
+    Angles are clipped to +/-90 deg and the range axis to positive
     values, so the fine grid near the search-space edge simply shrinks.
     """
     az0 = np.rad2deg(coarse.azimuth)
@@ -679,7 +678,7 @@ def fine_grid_spec(coarse):
     if r_lo <= 0:
         r_lo = _FINE_RANGE_STEP_M
     return GridSpec(
-        azimuth_deg=(az0 - half, az0 + half, step),
+        azimuth_deg=(max(-90.0, az0 - half), min(90.0, az0 + half), step),
         elevation_deg=(max(-90.0, el0 - half), min(90.0, el0 + half), step),
         range_m=(r_lo, coarse.range_m + _FINE_RANGE_HALFWIDTH_M,
                  _FINE_RANGE_STEP_M))

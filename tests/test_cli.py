@@ -347,7 +347,9 @@ class TestConfigTable:
         ("sweep-aoi", "experiment:\n  line:\n    y_m: abc\n",
          "invalid experiment.line.y_m:"),
         ("sweep-aoi", "experiment:\n  aoi:\n    x_min_m: -1\n    "
-         "x_max_m: -1\n", "invalid experiment.aoi:")])
+         "x_max_m: -1\n", "invalid experiment.aoi:"),
+        ("single", "grid:\n  el_deg: [95, 100, 5]\n", "invalid grid:"),
+        ("single", "grid:\n  az_deg: [175, 180, 5]\n", "invalid grid:")])
     def test_malformed_value_exits_2(self, command, text, named, tmp_path,
                                      capsys):
         path = tmp_path / "bad.yaml"

@@ -242,8 +242,7 @@ class TestBoundRescore:
     @staticmethod
     def bounds_and_scores(model, ys, points, ranges):
         from risloc.estimator import _BoundPass, _table_chunks
-        (re, im, rowsum), = _table_chunks(points, ranges, model, np.float64,
-                                          len(points))
+        (re, im, rowsum), = _table_chunks(points, ranges, model, np.float64)
         bounds = _BoundPass([(model, ys)], np.float64).bounds(re, im, rowsum)
         h = re @ model.signs + 1j * (im @ model.signs) \
             + rowsum[:, None] * model.offset
@@ -280,6 +279,69 @@ class TestBoundRescore:
         assert np.all(bounds >= scores * (1 - 1e-12))
         assert np.mean(bounds > scores * 1.01) > 0.5   # K < L: not tight
 
+    @staticmethod
+    def filtered_after_every_block(bound_pass, table):
+        """(rows, unit, bound, floors) kept by raising the floors with
+        every block's best-bounded row and filtering all kept rows again
+        after each block."""
+        from risloc.estimator import _scores
+        bp = bound_pass
+        idx, unit, bnd = np.empty(0, int), np.empty(0, int), np.empty(0)
+        start = 0
+        for re, im, rowsum in table.chunks:
+            bound = bp.bounds(re, im, rowsum)
+            j = bound.shape[1]
+            top = np.argmax(bound, axis=2)
+            h = (re[top].astype(float) + 1j * im[top]) @ bp.sp
+            bp.floor = np.maximum(bp.floor, _scores(h, bp.ys) - bp.slack)
+            reach = bp.floor - bp.slack
+            ts, js, rows = np.nonzero(bound >= reach[:, :, None])
+            idx = np.concatenate([idx, start + rows])
+            unit = np.concatenate([unit, ts * j + js])
+            bnd = np.concatenate([bnd, bound[ts, js, rows]])
+            keep = bnd >= reach.flat[unit]
+            idx, unit, bnd = idx[keep], unit[keep], bnd[keep]
+            start += len(re)
+        return idx, unit, bnd, bp.floor
+
+    def test_survivors_match_filtering_after_every_block(self, layout,
+                                                         scenario, model):
+        from risloc import estimator
+        grid = GridSpec(azimuth_deg=(-30, 30, 1), elevation_deg=(-30, 30, 1),
+                        range_m=(0.1, 3.9, 0.2))
+        table = estimator._nf_table(grid, model,
+                                    estimator._TableCache(np.inf))
+        assert table.dtype == np.float32 and len(table.chunks) == 37
+        rng = np.random.default_rng(21)
+        entries = []
+        for seed, p in ((7, [1.5, 0.2, -0.5]), (8, [0.9, -0.3, 0.1])):
+            cb = draw_codebook(layout.num_cells, scenario.num_samples,
+                               scenario.reflection_set, seed=seed)
+            m = build_steering_model(layout, cb, scenario)
+            y = generate_snapshot(np.array(p), DEFAULT_UE_VELOCITY, layout,
+                                  cb, scenario, noise_seed=seed).y
+            noise = np.sqrt(np.mean(np.abs(y) ** 2) / 2) * (
+                rng.standard_normal(40) + 1j * rng.standard_normal(40))
+            entries.append((m, [y, noise]))
+        bound_pass = estimator._BoundPass(entries, table.dtype)
+        start = 0
+        for re, im, rowsum in table.chunks:
+            bound_pass.add_chunk(re, im, rowsum, start)
+            start += len(re)
+        got = bound_pass.survivors()
+        *want, floors = self.filtered_after_every_block(
+            estimator._BoundPass(entries, table.dtype), table)
+        assert np.array_equal(bound_pass.floor, floors)
+        for a, b in zip(got, want):                   # rows, unit, bound
+            assert np.array_equal(a, b)
+        # The noise snapshots keep rows from many blocks.
+        noise_rows = got[0][got[1] % 2 == 1]
+        assert len(np.unique(noise_rows // estimator._BLOCK_ROWS)) > 10
+        winners = bound_pass.winners(table)
+        for (m, ys), idxs in zip(entries, winners):
+            assert idxs == list(np.argmin(brute_force_costs(ys, m, grid),
+                                          axis=1))
+
     @pytest.mark.slow
     def test_default_grid_matches_double_brute_force(self, monkeypatch):
         # A line trial at 2 m and a pure-noise snapshot, where thousands
@@ -300,10 +362,10 @@ class TestBoundRescore:
         blocks = []
         build = estimator._table_chunks
 
-        def counting_build(points, ranges, model, dtype, chunk_rows):
+        def counting_build(points, ranges, model, dtype):
             if len(points) <= estimator._BLOCK_ROWS:
                 blocks.append(len(points))
-            return build(points, ranges, model, dtype, chunk_rows)
+            return build(points, ranges, model, dtype)
 
         monkeypatch.setattr(estimator, "_table_chunks", counting_build)
         for cache in (False, True):
@@ -340,7 +402,7 @@ class TestBoundRescore:
 
 
 class TestTableBlocks:
-    """The table builder fills each chunk a block at a time."""
+    """Every table comes in blocks of _BLOCK_ROWS rows."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("far_field", [False, True])
@@ -352,18 +414,23 @@ class TestTableBlocks:
         ranges = np.linalg.norm(points, axis=1)
         if far_field:
             points, ranges = points / ranges[:, None], None
+        monkeypatch.setattr(estimator, "_SINGLE_PRECISION_THRESHOLD",
+                            0 if dtype == np.float32 else np.inf)
 
-        def planes(chunk_rows):
-            chunks = list(estimator._table_chunks(points, ranges, model,
-                                                  dtype, chunk_rows))
+        def planes(cache):
+            table = estimator._table(
+                model, len(points), lambda: (None, points, ranges), cache,
+                ("blocks",))
+            assert table.dtype == dtype
+            chunks = list(table.chunks)
             return len(chunks), [np.concatenate(c) for c in zip(*chunks)]
 
-        streamed = planes(estimator._BLOCK_ROWS)
-        cached = planes(estimator._CHUNK_ROWS)
+        streamed = planes(None)
+        cached = planes(estimator._TableCache(np.inf))
         monkeypatch.setattr(estimator, "_BLOCK_ROWS", len(points))
-        reference = planes(len(points))
-        # 5000 rows: two full blocks and a short one.
-        assert (streamed[0], cached[0]) == (3, 1)
+        reference = planes(None)
+        # 5000 rows: two full blocks and a short one, streamed or cached.
+        assert (streamed[0], cached[0]) == (3, 3)
         for _, got in (streamed, cached):
             for a, b in zip(got, reference[1]):       # re, im, row sums
                 assert a.dtype == b.dtype
@@ -375,7 +442,7 @@ class TestTableBlocks:
         grid = GridSpec(azimuth_deg=(-30, 30, 1), elevation_deg=(-30, 30, 1),
                         range_m=(0.1, 3.9, 0.2))
         cells = model.cell_centers.shape[0]
-        assert grid.num_candidates >= 4 * estimator._CHUNK_ROWS
+        assert grid.num_candidates >= 4 * 16384
         assert grid.num_candidates * cells \
             > estimator._SINGLE_PRECISION_THRESHOLD      # float32 table
         y = steering_vector(model, np.array([1.5, 0.2, -0.5]), np.zeros(3))
@@ -385,9 +452,18 @@ class TestTableBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One float32 plane of a cached chunk, half a chunk pair; the
-        # streamed search holds a block pair, a quarter of that.
-        assert peak < estimator._CHUNK_ROWS * cells * 4
+        # One float32 plane of 16,384 rows (16384 * 508 * 4 bytes); the
+        # streamed search holds a 2,048-row block pair, a quarter of that.
+        assert peak < 33_292_288
+
+
+class TestGridSpec:
+    def test_angle_axis_ends_at_90_deg(self):
+        # An axis may pass its stop by up to half a step: 92 deg here.
+        az, el, _ = GridSpec(azimuth_deg=(82, 90, 5),
+                             elevation_deg=(-90, -82, 5)).axis_values()
+        assert list(az) == [82, 87, 90]
+        assert list(el) == [-90, -85, -80]
 
 
 class TestFineGridSearch:
@@ -403,6 +479,16 @@ class TestFineGridSearch:
     def test_fine_grid_cardinality(self):
         spec = fine_grid_spec(SphericalCoord(0.1, -0.2, 2.1))
         assert spec.num_candidates == 21 * 21 * 81
+
+    @pytest.mark.parametrize("az_deg, el_deg", [
+        (89.5, 0.0), (-89.5, 0.0), (0.0, 89.5), (0.0, -89.5)])
+    def test_fine_grid_clipped_at_90_deg(self, az_deg, el_deg):
+        spec = fine_grid_spec(SphericalCoord(np.deg2rad(az_deg),
+                                             np.deg2rad(el_deg), 2.1))
+        for axis in spec.axis_values()[:2]:
+            assert -90.0 <= axis.min() and axis.max() <= 90.0
+        # The clipped angle axis keeps 16 of its 21 values.
+        assert spec.num_candidates == 16 * 21 * 81
 
     def test_never_worse_than_center(self, model):
         rng = np.random.default_rng(12)
@@ -440,10 +526,10 @@ class TestFineGridSearch:
 
 
 class TestFfGridSearch:
-    def test_ff_phase_zero_at_reference_cell(self):
+    def test_ff_phase_zero_at_reference_cell(self, monkeypatch):
         # A cell at the array reference has zero far-field phase for any
         # direction, so its table entry is the folded BS phase alone.
-        from risloc.estimator import _table_chunks
+        from risloc import estimator
         from risloc.geometry import RisLayout
         scenario = default_scenario(num_samples=4)
         layout = RisLayout(cell_centers=np.zeros((1, 3)))
@@ -454,7 +540,9 @@ class TestFfGridSearch:
         dirs = np.array([spherical_to_cartesian(
             SphericalCoord(np.deg2rad(a), np.deg2rad(e), 1.0))
             for a in (-30, 0, 30) for e in (-30, 0, 30)])
-        for re, im, _ in _table_chunks(dirs, None, model, np.float64, 4):
+        monkeypatch.setattr(estimator, "_BLOCK_ROWS", 4)   # 3 blocks
+        for re, im, _ in estimator._table_chunks(dirs, None, model,
+                                                 np.float64):
             assert np.allclose(re + 1j * im, expect, rtol=0, atol=1e-12)
 
     def test_far_point_direction_recovered(self, layout, scenario, model):

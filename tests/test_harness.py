@@ -192,14 +192,14 @@ class TestFineTables:
         builds = []
         build = estimator._table_chunks
 
-        def counting_build(points, ranges, model, dtype, chunk_rows):
+        def counting_build(points, ranges, model, dtype):
             # Rescoring rebuilds candidates in double precision, at most
             # _BLOCK_ROWS at a time; a table build covers a whole grid.
             if len(points) > estimator._BLOCK_ROWS:
                 builds.append(len(points))
             else:
                 assert dtype == np.float64
-            return build(points, ranges, model, dtype, chunk_rows)
+            return build(points, ranges, model, dtype)
 
         monkeypatch.setattr(estimator, "_table_chunks", counting_build)
         monkeypatch.setattr(estimator, "_COARSE_TABLES",
