@@ -263,7 +263,7 @@ def cmd_single(args):
     use_pattern = VARIANTS[variant].use_pattern \
         and not args.no_antenna_pattern
 
-    start = time.time()
+    start = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     model, snaps = draw_trial(config, truth_p, 0, 0, (use_pattern,))
     snap = snaps[use_pattern]
@@ -274,7 +274,7 @@ def cmd_single(args):
     trace = estimate(snap.y, model, config.estimator_config(variant))
     write_trace(trace, os.path.join(args.out, "trace.txt"))
     write_manifest(args.out, cfg, args, config, "single",
-                   time.time() - start)
+                   time.perf_counter() - start)
     if trace.failures:
         for stage, exc in trace.failures:
             print(f"stage {stage} failed: {exc}", file=sys.stderr)
@@ -288,7 +288,7 @@ def cmd_single(args):
 def cmd_sweep_aoi(args):
     cfg = load_config(args.config)
     config = build_experiment(cfg, args)
-    start = time.time()
+    start = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     results = aoi_sweep(config)
     lines = ["# x_m y_m variant rmspe_m rmsve_mps mean_snr_db runs skipped "
@@ -303,7 +303,7 @@ def cmd_sweep_aoi(args):
     atomic_write(os.path.join(args.out, "aoi_results.txt"),
                  "\n".join(lines) + "\n")
     write_manifest(args.out, cfg, args, config, "sweep-aoi",
-                   time.time() - start)
+                   time.perf_counter() - start)
     return EXIT_OK
 
 
@@ -311,7 +311,7 @@ def cmd_sweep_line(args):
     cfg = load_config(args.config)
     config = build_experiment(cfg, args)
     line = build_line(cfg)
-    start = time.time()
+    start = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)
     results = line_sweep(config, **line)
     rows = line_table(results, config.truth_v)
@@ -324,7 +324,7 @@ def cmd_sweep_line(args):
     atomic_write(os.path.join(args.out, "line_results.txt"),
                  "\n".join(lines) + "\n")
     write_manifest(args.out, cfg, args, config, "sweep-line",
-                   time.time() - start)
+                   time.perf_counter() - start)
     return EXIT_OK
 
 

@@ -716,7 +716,43 @@ def ff_grid_search(y, model, grid):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form style refinement (alternating linearized least squares)
+# Refinement
+#
+# CF and 6D share one core: _evaluate gives (h, dh, cost) at a point, and
+# each solver carries the evaluation of the point it accepted into its next
+# step. Both solve complex least-squares systems as stacked real ones.
+
+
+def _evaluate(y, model, theta):
+    """``(h, dh, cost)`` at theta = (p, v): the model response, its (L, 6)
+    Jacobian and the projection cost."""
+    h, dh = _model_and_jacobian(model, theta[:3], theta[3:])
+    return h, dh, projection_cost(y, h)
+
+
+def _stacked(jac, resid):
+    """The complex system jac x = resid as a real one, (a, b), its real
+    parts stacked over its imaginary parts."""
+    return (np.vstack([jac.real, jac.imag]),
+            np.concatenate([resid.real, resid.imag]))
+
+
+def _vp_system(y, h, dh):
+    """Kaufman's variable-projection system ``(a, b)`` at h: the Jacobian
+    -P_h^perp dh alpha_hat of the residual r = y - alpha_hat h = P_h^perp y,
+    and r, both stacked real. The cost ||r||^2 has the exact gradient
+    2 a^T b, since r is orthogonal to the term Kaufman drops."""
+    nh2 = np.vdot(h, h).real
+    alpha = np.vdot(h, y) / nh2
+    return _stacked(-alpha * (dh - np.outer(h, h.conj() @ dh) / nh2),
+                    y - alpha * h)
+
+
+def cost_and_grad(y, model, p, v):
+    """Projection cost and its analytic gradient w.r.t. (p, v)."""
+    h, dh, cost = _evaluate(y, model, np.concatenate([p, v]))
+    a, b = _vp_system(y, h, dh)
+    return cost, 2.0 * (a.T @ b)
 
 
 def _solve_displacement(jac, resid):
@@ -725,9 +761,7 @@ def _solve_displacement(jac, resid):
     Raises SingularSystemError when the system is rank deficient or its
     condition exceeds tolerance.
     """
-    a = np.vstack([jac.real, jac.imag])
-    b = np.concatenate([resid.real, resid.imag])
-    sol, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
+    sol, _, rank, sv = np.linalg.lstsq(*_stacked(jac, resid), rcond=None)
     if rank < jac.shape[1]:
         raise SingularSystemError(
             f"displacement system rank {rank} of {jac.shape[1]}")
@@ -738,103 +772,57 @@ def _solve_displacement(jac, resid):
     return sol
 
 
-def cf_refine(y, model, p, v):
-    """One alternating position/velocity refinement round.
-
-    The per-cell phase response is linearized in the displacement around
-    the current estimate (first-order exponent expansion followed by the
-    small-angle approximation), giving a linear least-squares problem for
-    the position offset and then for the velocity offset. Sub-updates
-    that would increase the projection cost are rejected.
-
-    Returns ``(p, v, converged)``.
-    """
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-
-    h0, jac = _model_and_jacobian(model, p, v)
-    cost0 = projection_cost(y, h0)
-
-    alpha = ml_alpha(y, h0)
-    delta_p = _solve_displacement(alpha * jac[:, :3], y - alpha * h0)
-    cand = p + delta_p
-    h1, cost_mid = h0, cost0
-    if np.linalg.norm(cand) > 0:
-        h_c, jac_c = _model_and_jacobian(model, cand, v)
-        cost_p = projection_cost(y, h_c)
-        if cost_p < cost0:
-            p, h1, jac, cost_mid = cand, h_c, jac_c, cost_p
-
-    alpha = ml_alpha(y, h1)
-    delta_v = _solve_displacement(alpha * jac[:, 3:], y - alpha * h1)
-    cand_v = v + delta_v
-    cost_v = projection_cost(y, steering_vector(model, p, cand_v))
-    if cost_v < cost_mid:
-        v, cost_end = cand_v, cost_v
-    else:
-        cost_end = cost_mid
-
-    converged = (cost0 - cost_end) < _CF_COST_TOL * max(
-        cost0, np.finfo(float).tiny)
-    return p, v, converged
-
-
 def refine_loop(y, model, p, v):
-    """Iterate cf_refine until convergence or CF_MAX_ITER rounds.
+    """CF: alternating linearized least squares, at most CF_MAX_ITER
+    rounds, each over the position block and then the velocity block.
 
-    Returns ``(p, v, iterations)``.
+    A block's per-cell phase response is linearized in its displacement
+    around the current estimate (first-order exponent expansion followed by
+    the small-angle approximation), giving a linear least-squares problem
+    for that block's offset. An update that would not lower the projection
+    cost is rejected. Stops after a round that lowers the cost by less
+    than _CF_COST_TOL of it.
+
+    Returns ``(p, v, iterations, cost)``.
     """
+    theta = np.concatenate([np.asarray(p, float), np.asarray(v, float)])
+    h, dh, cost = _evaluate(y, model, theta)
     for iterations in range(1, CF_MAX_ITER + 1):
-        p, v, converged = cf_refine(y, model, p, v)
-        if converged:
+        round_cost = cost
+        for block in (slice(0, 3), slice(3, 6)):
+            alpha = ml_alpha(y, h)
+            cand = theta.copy()
+            cand[block] += _solve_displacement(alpha * dh[:, block],
+                                               y - alpha * h)
+            if np.linalg.norm(cand[:3]) > 0:
+                h_c, dh_c, cost_c = _evaluate(y, model, cand)
+                if cost_c < cost:
+                    theta, h, dh, cost = cand, h_c, dh_c, cost_c
+        if round_cost - cost < _CF_COST_TOL * max(round_cost,
+                                                  np.finfo(float).tiny):
             break
-    return p, v, iterations
-
-
-# ---------------------------------------------------------------------------
-# 6D refinement: variable-projection Levenberg-Marquardt
-
-
-def cost_and_grad(y, model, p, v):
-    """Projection cost and its analytic gradient w.r.t. (p, v)."""
-    h, dh = _model_and_jacobian(model, p, v)
-    c = np.vdot(h, y)
-    den = np.vdot(h, h).real
-    if den == 0.0:
-        raise ZeroModelError("model vector has zero norm")
-    cost = np.vdot(y, y).real - abs(c) ** 2 / den
-    dc = dh.conj().T @ y
-    dden = 2.0 * np.real(dh.conj().T @ h)
-    grad = -(2.0 * np.real(np.conj(c) * dc) * den
-             - abs(c) ** 2 * dden) / den ** 2
-    return max(float(cost), 0.0), grad
+    return theta[:3], theta[3:], iterations, cost
 
 
 def lm_refine_6d(y, model, p, v):
     """Minimize the projection cost over (p, v) by Levenberg-Marquardt on
     the variable-projection residual r = y - alpha_hat h = P_h^perp y.
 
-    Steps use Kaufman's Jacobian -P_h^perp (dh/dtheta) alpha_hat, split
-    into real and imaginary parts, with Marquardt's diagonal damping (which
-    also balances the position and velocity scales). A step is kept only
-    if the cost falls; the damping follows Nielsen's gain-ratio rule, so
-    curved valleys do not stall the solver in rejected/tiny-step pairs.
+    Steps solve the normal equations of :func:`_vp_system` with Marquardt's
+    diagonal damping (which also balances the position and velocity
+    scales). A step is kept only if the cost falls; the damping follows
+    Nielsen's gain-ratio rule, so curved valleys do not stall the solver in
+    rejected/tiny-step pairs.
 
-    Returns ``(p, v, cost, iterations)``; the cost never exceeds the
+    Returns ``(p, v, iterations, cost)``; the cost never exceeds the
     starting cost.
     """
     theta = np.concatenate([np.asarray(p, float), np.asarray(v, float)])
-    h, dh = _model_and_jacobian(model, theta[:3], theta[3:])
-    cost = projection_cost(y, h)
+    h, dh, cost = _evaluate(y, model, theta)
     lam, grow = _LM_LAMBDA_INIT, 2.0
     iterations = 0
     while iterations < LM_MAX_ITER and lam <= _LM_LAMBDA_MAX:
-        nh2 = np.vdot(h, h).real
-        alpha = np.vdot(h, y) / nh2
-        jac = -alpha * (dh - np.outer(h, h.conj() @ dh) / nh2)
-        resid = y - alpha * h
-        a = np.vstack([jac.real, jac.imag])
-        b = np.concatenate([resid.real, resid.imag])
+        a, b = _vp_system(y, h, dh)
         normal = a.T @ a
         grad = a.T @ b
         damp = np.diag(np.diag(normal))
@@ -846,11 +834,10 @@ def lm_refine_6d(y, model, p, v):
                     f"6D normal system singular: {exc}") from exc
             predicted = step @ (normal + 2.0 * lam * damp) @ step
             if predicted <= LM_COST_TOL * cost:
-                return theta[:3], theta[3:], cost, iterations
+                return theta[:3], theta[3:], iterations, cost
             cand = theta + step
             if np.linalg.norm(cand[:3]) > 0:
-                h_c, dh_c = _model_and_jacobian(model, cand[:3], cand[3:])
-                cost_c = projection_cost(y, h_c)
+                h_c, dh_c, cost_c = _evaluate(y, model, cand)
                 if cost_c < cost:
                     gain = (cost - cost_c) / predicted
                     lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
@@ -860,7 +847,7 @@ def lm_refine_6d(y, model, p, v):
                     break
             lam *= grow
             grow *= 2.0
-    return theta[:3], theta[3:], cost, iterations
+    return theta[:3], theta[3:], iterations, cost
 
 
 # ---------------------------------------------------------------------------
@@ -914,24 +901,14 @@ def estimate(y, model, config, coarse_result=None):
         trace.record("GS-fine", p_hat, v_zero, cost)
 
     p_cur, v_cur, cost_cur = p_hat, v_zero, cost
-
-    try:
-        p_ref, v_ref, iters = refine_loop(y, model, p_cur, v_cur)
-        cost_ref = projection_cost(y, steering_vector(model, p_ref, v_ref))
-        if cost_ref <= cost_cur:
-            p_cur, v_cur, cost_cur = p_ref, v_ref, cost_ref
-        trace.record("CF", p_cur, v_cur, cost_cur, iters)
-    except (SingularSystemError, ZeroModelError) as exc:
-        trace.failures.append(("CF", exc))
-        trace.record("CF", p_cur, v_cur, cost_cur)
-
-    try:
-        p_lm, v_lm, cost_lm, iters = lm_refine_6d(y, model, p_cur, v_cur)
-        if cost_lm <= cost_cur:
-            p_cur, v_cur, cost_cur = p_lm, v_lm, cost_lm
-        trace.record("6D", p_cur, v_cur, cost_cur, iters)
-    except (SingularSystemError, ZeroModelError) as exc:
-        trace.failures.append(("6D", exc))
-        trace.record("6D", p_cur, v_cur, cost_cur)
+    for stage, solver in (("CF", refine_loop), ("6D", lm_refine_6d)):
+        iterations = 0
+        try:
+            p_s, v_s, iterations, cost_s = solver(y, model, p_cur, v_cur)
+            if cost_s <= cost_cur:
+                p_cur, v_cur, cost_cur = p_s, v_s, cost_s
+        except (SingularSystemError, ZeroModelError) as exc:
+            trace.failures.append((stage, exc))
+        trace.record(stage, p_cur, v_cur, cost_cur, iterations)
 
     return trace

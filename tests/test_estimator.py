@@ -4,11 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
+from risloc import estimator
 from risloc.channel import (DEFAULT_UE_VELOCITY, default_scenario,
                             draw_codebook, generate_snapshot)
 from risloc.errors import OriginError, SingularSystemError, ZeroModelError
 from risloc.estimator import (EstimatorConfig, GridSpec, _solve_displacement,
-                              build_steering_model, cf_refine, cost_and_grad,
+                              build_steering_model, cost_and_grad,
                               default_coarse_grid, estimate, ff_grid_search,
                               fine_grid_spec, lm_refine_6d, ml_alpha,
                               nf_fine_grid_search, nf_grid_search,
@@ -592,10 +593,17 @@ class TestFfGridSearch:
 
 
 class TestCfRefine:
+    """Single CF rounds: ``refine_loop`` with CF_MAX_ITER patched to 1."""
+
+    @pytest.fixture(autouse=True)
+    def one_round(self, monkeypatch):
+        monkeypatch.setattr(estimator, "CF_MAX_ITER", 1)
+
     def test_fixed_point_at_truth(self, model):
         p = np.array([2.0, 0.0, -0.5])
         y = steering_vector(model, p, DEFAULT_UE_VELOCITY)
-        p1, v1, _ = cf_refine(y, model, p, DEFAULT_UE_VELOCITY)
+        p1, v1, iters, _ = refine_loop(y, model, p, DEFAULT_UE_VELOCITY)
+        assert iters == 1
         # Zero residual at the truth: the linearized steps must vanish.
         assert np.linalg.norm(p1 - p) < 1e-9
         assert np.linalg.norm(v1 - DEFAULT_UE_VELOCITY) < 1e-9
@@ -606,7 +614,8 @@ class TestCfRefine:
         start = p + np.array([0.0, 5e-3, 0.0])
         c0 = projection_cost(y, steering_vector(model, start,
                                                 DEFAULT_UE_VELOCITY))
-        p1, v1, _ = cf_refine(y, model, start, DEFAULT_UE_VELOCITY)
+        p1, v1, iters, _ = refine_loop(y, model, start, DEFAULT_UE_VELOCITY)
+        assert iters == 1
         c1 = projection_cost(y, steering_vector(model, p1, v1))
         assert c1 < c0
 
@@ -615,7 +624,7 @@ class TestCfRefine:
         y = steering_vector(model, p, DEFAULT_UE_VELOCITY)
         start_p = p + np.array([2e-3, -1e-3, 1e-3])
         err0 = np.linalg.norm(DEFAULT_UE_VELOCITY)
-        p1, v1, _ = refine_loop(y, model, start_p, np.zeros(3))
+        p1, v1, _, _ = refine_loop(y, model, start_p, np.zeros(3))
         assert np.linalg.norm(v1 - DEFAULT_UE_VELOCITY) < err0
 
     def test_ill_conditioned_system_named(self):
@@ -642,10 +651,13 @@ class TestRefineLoop:
     def test_converged_input_returns_after_one_iteration(self, model):
         p = np.array([2.0, 0.0, -0.5])
         y = steering_vector(model, p, DEFAULT_UE_VELOCITY)
-        _, _, iters = refine_loop(y, model, p, DEFAULT_UE_VELOCITY)
+        _, _, iters, _ = refine_loop(y, model, p, DEFAULT_UE_VELOCITY)
         assert iters == 1
 
-    def test_monotone_cost_on_noisy_trials(self):
+    def test_monotone_cost_on_noisy_trials(self, monkeypatch):
+        # The cost after each of the first five rounds, each read from a
+        # run capped at that many rounds, must never rise, and must be the
+        # cost that refine_loop returns.
         model, layout, scenario = toy_model(num_cells=19, num_samples=40,
                                             seed=6)
         rng = np.random.default_rng(10)
@@ -658,13 +670,40 @@ class TestRefineLoop:
             start = p + rng.normal(scale=5e-3, size=3)
             costs = [projection_cost(y, steering_vector(model, start,
                                                         np.zeros(3)))]
-            cur_p, cur_v = start, np.zeros(3)
-            for _ in range(5):
-                cur_p, cur_v, _ = cf_refine(y, model, cur_p, cur_v)
+            for rounds in range(1, 6):
+                monkeypatch.setattr(estimator, "CF_MAX_ITER", rounds)
+                cur_p, cur_v, _, cost = refine_loop(y, model, start,
+                                                    np.zeros(3))
                 costs.append(projection_cost(
                     y, steering_vector(model, cur_p, cur_v)))
+                assert cost == costs[-1]
             assert all(b <= a * (1 + 1e-12)
                        for a, b in zip(costs, costs[1:]))
+
+    def test_no_point_evaluated_twice(self, layout, scenario, monkeypatch):
+        # Every accepted step's model evaluation carries into the next
+        # step, so no round starts by evaluating its point again. The
+        # wrapper sits on _cell_terms, the kernel under both
+        # _model_and_jacobian and steering_vector.
+        p = np.array([np.sqrt(2.0 ** 2 - 0.25), 0.0, -0.5])
+        cb = draw_codebook(layout.num_cells, scenario.num_samples,
+                           scenario.reflection_set, seed=11)
+        m = build_steering_model(layout, cb, scenario)
+        snap = generate_snapshot(p, DEFAULT_UE_VELOCITY, layout, cb,
+                                 scenario, noise_seed=12)
+        seen = []
+        cell_terms = estimator._cell_terms
+
+        def counting(model, p, v):
+            seen.append(np.concatenate([p, v]).tobytes())
+            return cell_terms(model, p, v)
+
+        monkeypatch.setattr(estimator, "_cell_terms", counting)
+        refine_loop(snap.y, m, p + np.array([6e-3, -5e-3, 4e-3]),
+                    np.zeros(3))
+        assert len(seen) > 1
+        repeats = len(seen) - len(set(seen))
+        assert repeats == 0
 
 
 class TestGradientDescent:
@@ -701,7 +740,7 @@ class TestGradientDescent:
     def test_start_at_minimum_stays(self, model):
         p = np.array([2.0, 0.0, -0.5])
         y = steering_vector(model, p, DEFAULT_UE_VELOCITY)
-        p1, v1, cost, iters = lm_refine_6d(y, model, p, DEFAULT_UE_VELOCITY)
+        p1, v1, iters, cost = lm_refine_6d(y, model, p, DEFAULT_UE_VELOCITY)
         assert iters == 0
         assert np.array_equal(p1, p)
         assert np.array_equal(v1, DEFAULT_UE_VELOCITY)
@@ -711,9 +750,9 @@ class TestGradientDescent:
         y = steering_vector(model, p, DEFAULT_UE_VELOCITY)
         start_p = p + 1e-2 * np.array([1.0, -1.0, 0.5]) / np.sqrt(2.25)
         start_v = DEFAULT_UE_VELOCITY + 0.1 * np.array([0.6, 0.0, -0.8])
-        pc, vc, _ = refine_loop(y, model, start_p, start_v)
+        pc, vc, _, _ = refine_loop(y, model, start_p, start_v)
         c_cf = projection_cost(y, steering_vector(model, pc, vc))
-        p1, v1, cost, _ = lm_refine_6d(y, model, pc, vc)
+        p1, v1, _, cost = lm_refine_6d(y, model, pc, vc)
         assert cost <= c_cf * (1 + 1e-12)
         assert np.linalg.norm(p1 - p) < 1e-7
         assert np.linalg.norm(v1 - DEFAULT_UE_VELOCITY) < 1e-5
@@ -723,7 +762,7 @@ class TestGradientDescent:
         p = np.array([1.5, -0.4, -0.5])
         y = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         c0 = projection_cost(y, steering_vector(model, p, np.zeros(3)))
-        _, _, cost, _ = lm_refine_6d(y, model, p, np.zeros(3))
+        _, _, _, cost = lm_refine_6d(y, model, p, np.zeros(3))
         assert cost <= c0
 
 
@@ -768,6 +807,43 @@ class TestEstimatePipeline:
                 snap.y, steering_vector(m, p, DEFAULT_UE_VELOCITY))
             assert not trace.failures
             assert trace.records[-1].cost <= truth_cost
+
+    @pytest.mark.parametrize("failing", ["CF", "6D"])
+    def test_failed_stage_keeps_its_input(self, model, monkeypatch, failing):
+        # A failing stage records the estimate it was given with 0
+        # iterations, is listed on the trace, and the pipeline goes on.
+        p = spherical_to_cartesian(SphericalCoord(np.deg2rad(1.0),
+                                                  np.deg2rad(-15.0), 1.9))
+        y = steering_vector(model, p, DEFAULT_UE_VELOCITY)
+        exc = SingularSystemError("rank 2 of 3")
+        solvers = {"CF": "refine_loop", "6D": "lm_refine_6d"}
+        other, = set(solvers.values()) - {solvers[failing]}
+        run_other = getattr(estimator, other)
+        calls = []
+
+        def fail(*args):
+            raise exc
+
+        def counted(*args):
+            calls.append(other)
+            return run_other(*args)
+
+        monkeypatch.setattr(estimator, solvers[failing], fail)
+        monkeypatch.setattr(estimator, other, counted)
+        trace = estimate(y, model, EstimatorConfig(grid=small_grid()))
+        assert [rec.stage for rec in trace.records] == ["GS", "CF", "6D"]
+        assert trace.failures == [(failing, exc)]
+        assert calls == [other]
+        i = [rec.stage for rec in trace.records].index(failing)
+        before, rec = trace.records[i - 1], trace.records[i]
+        assert rec.iterations == 0
+        assert np.array_equal(rec.p, before.p)
+        assert np.array_equal(rec.v, before.v)
+        assert rec.cost == before.cost
+        if failing == "CF":
+            # 6D still runs, from the GS estimate.
+            assert trace.records[2].iterations > 0
+            assert trace.records[2].cost < before.cost
 
     def test_invalid_variant_rejected(self):
         with pytest.raises(ValueError):
