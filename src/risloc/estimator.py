@@ -20,12 +20,14 @@ the known BS phase b folded in. The reflection set has exactly two
 values, so the codebook is an offset plus a +/-1 sign matrix up to a
 common factor, which the projection cost ignores. The scorer bounds
 every candidate's score from above with a few real GEMMs against a
-K-direction basis that spans the snapshots, then rescores in double
-precision only the candidates whose bound reaches the best score, so
-every winner is the grid's exact optimum. Sweeps cache the coarse tables
-per (grid, layout, BS position) and score many snapshots per pass;
-one-shot searches stream the table, score each block while it is in
-cache, and keep nothing. Fine tables are kept one at a time.
+K-direction basis that spans the snapshots (and, for a fine search, the
+response and its position Jacobian at the coarse estimate), then
+rescores in double precision only the candidates whose bound reaches the
+best score, so every winner is the grid's exact optimum. Sweeps cache
+the coarse tables per (grid, layout, BS position) and score many
+snapshots per pass; one-shot searches stream the table, score each block
+while it is in cache, and keep nothing. Fine tables are kept one at a
+time.
 """
 
 import threading
@@ -45,9 +47,10 @@ from .geometry import (SphericalCoord, cartesian_to_spherical,
 # _best_candidates).
 _SINGLE_PRECISION_THRESHOLD = 4_000_000
 
-#: Real directions per model in the basis of the bound pass: the real and
-#: imaginary parts of the model's snapshots, then the leading
-#: eigenvectors of the Gram matrix of its responses.
+#: Real directions per model in the basis of the coarse and far-field
+#: bound pass: the real and imaginary parts of the model's snapshots, then
+#: the leading eigenvectors of the Gram matrix of its responses. Fine
+#: searches fit theirs to the cell instead (see _bound_basis).
 _BOUND_DIRECTIONS = 8
 
 #: Slack of the bound pass, in unit roundoffs u of the table dtype, times
@@ -240,9 +243,19 @@ def _cell_terms(model, p, v):
         raise OriginError("steering vector undefined at the array center")
     ell_t = np.arange(model.num_samples) * model.sample_time
     pos = p[None, :] + ell_t[:, None] * v[None, :]
-    diff = pos[:, None, :] - model.cell_centers[None, :, :]   # (L, M, 3)
-    dist = np.linalg.norm(diff, axis=2)                       # (L, M)
-    a = np.exp(-2j * np.pi / model.wavelength * (dist - r))
+    # One axis at a time, the squares summed in np.linalg.norm's order
+    # and a = exp(j phase) as cos + j sin of the real phase: the same bits
+    # as the norm of the (L, M, 3) differences and the complex exp.
+    q = model.cell_centers
+    dist = np.square(pos[:, :1] - q[:, 0])
+    for axis in (1, 2):
+        dist += np.square(pos[:, axis:axis + 1] - q[:, axis])
+    np.sqrt(dist, out=dist)                                   # (L, M)
+    phase = dist - r
+    phase *= -2.0 * np.pi / model.wavelength
+    a = np.empty(dist.shape, dtype=complex)
+    np.cos(phase, out=a.real)
+    np.sin(phase, out=a.imag)
     return model.w.T * a, pos, dist, ell_t
 
 
@@ -297,8 +310,10 @@ def projection_cost(y, h):
 #: Candidate coordinates (az rad, el rad, r m) and positions (m) plus the
 #: steering table as blocks of ``dtype`` from :func:`_table_chunks`: a list
 #: when cached, a generator when streamed. ``far_field`` tables hold unit
-#: directions without ranges.
-_Table = namedtuple("_Table", "coords positions chunks dtype far_field")
+#: directions without ranges. A fine search sets ``centre``, the position
+#: its bound basis is fitted at (see _bound_basis); elsewhere it is None.
+_Table = namedtuple("_Table", "coords positions chunks dtype far_field "
+                              "centre", defaults=(None,))
 
 
 class _TableCache:
@@ -453,16 +468,28 @@ def _check_entries(entries):
                                  "and BS position")
 
 
-def _bound_basis(model, ys, k):
-    """Real orthonormal (L, k) basis of the bound pass: the real and
-    imaginary parts of the snapshots ``ys`` first, then the leading
-    eigenvectors of Re(S'^T conj(S')), S' = signs + offset, along which
-    the responses S'^T t of table rows t of unit entries carry the most
-    energy."""
+def _bound_basis(model, ys, centre):
+    """Real orthonormal (L, K) basis of the bound pass, the real and
+    imaginary parts of the J snapshots ``ys`` first.
+
+    Without a ``centre``, K = max(_BOUND_DIRECTIONS, 2 J) and the leading
+    eigenvectors of Re(S'^T conj(S')), S' = signs + offset, follow: along
+    them the responses S'^T t of table rows t of unit entries carry the
+    most energy. A fine table's candidates lie near its ``centre`` p0, so
+    there K = 2 J + 8 and the real and imaginary parts of h(p0) and of
+    dh/dp at p0 follow, which span most of every candidate's response to
+    first order. Both are capped at L."""
     ys = np.transpose(ys)
-    sp = model.signs + model.offset
-    _, vecs = np.linalg.eigh((sp.T @ sp.conj()).real)
-    q, _ = np.linalg.qr(np.column_stack([ys.real, ys.imag, vecs[:, ::-1]]))
+    if centre is None:
+        sp = model.signs + model.offset
+        _, vecs = np.linalg.eigh((sp.T @ sp.conj()).real)
+        k = max(_BOUND_DIRECTIONS, 2 * ys.shape[1])
+        fit = [vecs[:, ::-1]]
+    else:
+        h, jac = _model_and_jacobian(model, centre, np.zeros(3))
+        k = 2 * ys.shape[1] + 8
+        fit = [h.real, h.imag, jac[:, :3].real, jac[:, :3].imag]
+    q, _ = np.linalg.qr(np.column_stack([ys.real, ys.imag, *fit]))
     return q[:, :k]
 
 
@@ -486,13 +513,12 @@ class _BoundPass:
     precision.
     """
 
-    def __init__(self, entries, dtype):
+    def __init__(self, entries, dtype, centre=None):
         self.models = [model for model, _ in entries]
         self.ys = np.array([ys for _, ys in entries], dtype=complex)
-        num_models, j, num_samples = self.ys.shape
-        k = min(num_samples, max(_BOUND_DIRECTIONS, 2 * j))
+        num_models, j, _ = self.ys.shape
         self.sp = np.stack([m.signs + m.offset for m in self.models])
-        qs = [_bound_basis(m, ys, k) for m, ys in entries]
+        qs = [_bound_basis(m, ys, centre) for m, ys in entries]
         # z = Q^T h = Q^T S^T t + rowsum(t) s, s = offset Q^T 1, for a
         # table row t. Re(s) folds into the GEMM, Im(s) mixes the planes:
         # zr = re P - Im(rowsum) Im(s), zi = im P + Re(rowsum) Im(s) with
@@ -605,7 +631,7 @@ def _best_candidates(table, entries):
     candidates whose bound reaches the best score (see
     :class:`_BoundPass`).
     """
-    bound_pass = _BoundPass(entries, table.dtype)
+    bound_pass = _BoundPass(entries, table.dtype, table.centre)
     start = 0
     for re, im, rowsum in table.chunks:
         bound_pass.add_chunk(re, im, rowsum, start)
@@ -688,9 +714,11 @@ def nf_fine_grid_search(y, model, coarse):
     """Fine near-field search centered on the coarse estimate.
 
     The table is kept until a search around another cell replaces it, so
-    callers should run the searches of one coarse cell together.
+    callers should run the searches of one coarse cell together. Its bound
+    basis is fitted at the coarse estimate.
     """
-    return _search(_nf_table(fine_grid_spec(coarse), model, _FINE_TABLES),
+    table = _nf_table(fine_grid_spec(coarse), model, _FINE_TABLES)
+    return _search(table._replace(centre=spherical_to_cartesian(coarse)),
                    [(model, [y])])[0][0]
 
 

@@ -143,6 +143,9 @@ class ExperimentConfig:
         if not self.variants or not set(self.variants) <= VARIANTS.keys():
             raise ValueError(f"variants {list(self.variants)} must be one "
                              f"or more of {sorted(VARIANTS)}")
+        if len(set(self.variants)) < len(self.variants):
+            raise ValueError(f"variants {list(self.variants)} name a "
+                             f"variant more than once")
 
     def estimator_config(self, variant):
         return EstimatorConfig(gs_variant=VARIANTS[variant].gs_variant,

@@ -349,12 +349,17 @@ class TestConfigTable:
         ("sweep-aoi", "experiment:\n  aoi:\n    x_min_m: -1\n    "
          "x_max_m: -1\n", "invalid experiment.aoi:"),
         ("single", "grid:\n  el_deg: [95, 100, 5]\n", "invalid grid:"),
-        ("single", "grid:\n  az_deg: [175, 180, 5]\n", "invalid grid:")])
+        ("single", "grid:\n  az_deg: [175, 180, 5]\n", "invalid grid:"),
+        ("sweep-aoi", "experiment:\n  variants: [gs-nf, gs-nf]\n",
+         "invalid experiment:"),
+        ("sweep-aoi --variant gs-nf --variant gs-nf", "{}\n",
+         "invalid experiment:")])
     def test_malformed_value_exits_2(self, command, text, named, tmp_path,
                                      capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(text)
-        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        argv = [*command.split(), "--config", str(path), "--out",
+                str(tmp_path / "out")]
         if command == "single":
             argv += ["--truth-p", "2", "0", "-0.5"]
         assert main(argv) == EXIT_CONFIG

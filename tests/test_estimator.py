@@ -55,6 +55,36 @@ class TestSteeringVector:
         with pytest.raises(OriginError):
             steering_vector(model, np.zeros(3), np.zeros(3))
 
+    def test_kernel_bit_equal_to_complex_exp_reference(self, model):
+        # The reference takes the norm of the (L, M, 3) differences and the
+        # complex exp of the phase; the kernel must give the same bits for
+        # h and its Jacobian, at moving UEs.
+        rng = np.random.default_rng(31)
+        ell_t = np.arange(model.num_samples) * model.sample_time
+        k0 = 2.0 * np.pi / model.wavelength
+        q = model.cell_centers
+        for _ in range(50):
+            p = rng.uniform([0.3, -1.5, -1.5], [3.5, 1.5, 1.0])
+            v = rng.normal(scale=1.0, size=3)
+            pos = p[None, :] + ell_t[:, None] * v[None, :]
+            dist = np.linalg.norm(pos[:, None] - q, axis=2)
+            a = np.exp(-2j * np.pi / model.wavelength
+                       * (dist - np.linalg.norm(p)))
+            # Bound to a name, as in the kernel: numpy may multiply into an
+            # unnamed temporary in place, which can round differently.
+            wa = model.w.T * a
+            h_ref = wa.sum(axis=1)
+            c = wa / dist
+            s_vec = c.sum(axis=1)[:, None] * pos - c @ q
+            jac_ref = np.empty((len(h_ref), 6), dtype=complex)
+            jac_ref[:, :3] = -1j * k0 * (
+                s_vec - h_ref[:, None] * (p / np.linalg.norm(p))[None, :])
+            jac_ref[:, 3:] = -1j * k0 * ell_t[:, None] * s_vec
+            h, jac = estimator._model_and_jacobian(model, p, v)
+            assert np.array_equal(h, h_ref)
+            assert np.array_equal(jac, jac_ref)
+            assert np.array_equal(steering_vector(model, p, v), h_ref)
+
     def test_model_consistency_with_full_model(self, layout, scenario):
         # Noiseless full generative model (patterns off) against
         # alpha * h: magnitude-weighted rms phase mismatch stays small
@@ -241,15 +271,31 @@ class TestBoundRescore:
     """The grid searches' bound pass and double-precision rescoring."""
 
     @staticmethod
-    def bounds_and_scores(model, ys, points, ranges):
+    def bounds_and_scores(model, ys, points, ranges, centre=None):
+        """Bounds and double-precision scores of every candidate, one
+        table block at a time."""
         from risloc.estimator import _BoundPass, _table_chunks
-        (re, im, rowsum), = _table_chunks(points, ranges, model, np.float64)
-        bounds = _BoundPass([(model, ys)], np.float64).bounds(re, im, rowsum)
-        h = re @ model.signs + 1j * (im @ model.signs) \
-            + rowsum[:, None] * model.offset
-        scores = np.abs(h.conj() @ np.transpose(ys)).T ** 2 \
-            / np.sum(np.abs(h) ** 2, axis=1)
-        return bounds[0], scores
+        bound_pass = _BoundPass([(model, ys)], np.float64, centre)
+        bounds, scores = [], []
+        for re, im, rowsum in _table_chunks(points, ranges, model,
+                                            np.float64):
+            bounds.append(bound_pass.bounds(re, im, rowsum)[0])
+            h = re @ model.signs + 1j * (im @ model.signs) \
+                + rowsum[:, None] * model.offset
+            scores.append(np.abs(h.conj() @ np.transpose(ys)).T ** 2
+                          / np.sum(np.abs(h) ** 2, axis=1))
+        return np.concatenate(bounds, axis=1), np.concatenate(scores, axis=1)
+
+    @staticmethod
+    def noisy_line_trial(d_r, point):
+        """Model and pattern-on snapshot of run 0 at point index ``point``
+        of a seed_base 1 sweep, the truth on the line at range ``d_r``."""
+        from risloc.harness import ExperimentConfig, draw_trial
+        model, snaps = draw_trial(
+            ExperimentConfig(seed_base=1),
+            np.array([np.sqrt(d_r ** 2 - 0.25), 0.0, -0.5]), point, 0,
+            (True,))
+        return model, snaps[True].y
 
     @pytest.mark.parametrize("phases_deg", [(-15.0, 165.0), (0.0, 90.0)])
     def test_bound_equals_score_when_basis_spans_samples(self, phases_deg):
@@ -279,6 +325,52 @@ class TestBoundRescore:
             model, ys, points, np.linalg.norm(points, axis=1))
         assert np.all(bounds >= scores * (1 - 1e-12))
         assert np.mean(bounds > scores * 1.01) > 0.5   # K < L: not tight
+
+    def test_fitted_bound_never_below_score(self):
+        # Every candidate of the fine table around a noisy 2 m trial's
+        # coarse cell, for its snapshot and for pure noise: a basis fitted
+        # at the cell still spans the snapshots, so it bounds every score.
+        model, y = self.noisy_line_trial(2.0, 4)
+        rng = np.random.default_rng(10)
+        ys = [y, np.sqrt(np.mean(np.abs(y) ** 2) / 2)
+              * (rng.standard_normal(40) + 1j * rng.standard_normal(40))]
+        coarse = SphericalCoord(0.0, np.deg2rad(-14.0), 2.1)
+        table = estimator._nf_table(fine_grid_spec(coarse), model, None)
+        centre = spherical_to_cartesian(coarse)
+        fitted, scores = self.bounds_and_scores(
+            model, ys, table.positions, table.coords[:, 2], centre)
+        coarse_basis, _ = self.bounds_and_scores(
+            model, ys, table.positions, table.coords[:, 2])
+        assert np.all(fitted >= scores * (1 - 1e-12))
+        # Around the centre the fitted bound is the tighter one.
+        assert np.median(fitted[0] / scores[0]) \
+            < np.median(coarse_basis[0] / scores[0])
+
+    def test_fitted_basis_leaves_few_survivors(self, monkeypatch):
+        # Noisy line trials' fine searches around the cells their coarse
+        # searches picked: few candidates reach the double-precision
+        # rescore (280 to 4,577 of these four with the coarse searches'
+        # basis), and every winner is still the grid's exact optimum.
+        trials = [self.noisy_line_trial(d_r, point)
+                  for point, d_r in enumerate((0.8, 1.2, 1.6, 2.0))]
+        coarse = nf_grid_search_batch([(m, [y]) for m, y in trials],
+                                      default_coarse_grid(), cache=False)
+        survivors = []
+        winners = estimator._BoundPass.winners
+
+        def counting(bound_pass, table):
+            survivors.append(len(bound_pass.survivors()[0]))
+            return winners(bound_pass, table)
+
+        monkeypatch.setattr(estimator._BoundPass, "winners", counting)
+        for (model, y), ((cell, _),) in zip(trials, coarse):
+            got, cost = nf_fine_grid_search(y, model, cell)
+            spec = fine_grid_spec(cell)
+            costs = brute_force_costs([y], model, spec)[0]
+            assert got == grid_coord(spec, np.argmin(costs))
+            assert cost == pytest.approx(costs.min(), rel=1e-9)
+        assert len(survivors) == len(trials)
+        assert max(survivors) <= 100, survivors
 
     @staticmethod
     def filtered_after_every_block(bound_pass, table):
