@@ -241,6 +241,9 @@ def scenario_hash(scenario):
              f"{scenario.sample_time:.12g}", str(scenario.num_samples),
              " ".join(f"{z.real:.12g}{z.imag:+.12g}j"
                       for z in np.asarray(scenario.reflection_set))]
+    # Only when set, so that a scenario without it keeps its fingerprint.
+    if scenario.noise_power_override is not None:
+        parts.append(f"{scenario.noise_power_override:.12g}")
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 

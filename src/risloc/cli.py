@@ -9,6 +9,7 @@ elevation) and meters (range).
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -32,14 +33,22 @@ EXIT_GEOMETRY = 3
 EXIT_INTERNAL = 4
 
 
+def _number(value):
+    """A finite number as a float; a YAML boolean, which float() reads as
+    0 or 1, is rejected, and so are .inf and .nan."""
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
 def _integer(value):
     """An integral number as an int; 4.7 is rejected, not truncated."""
-    if not float(value).is_integer():
+    if not _number(value).is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
-def _list(value, item=float, count=None):
+def _list(value, item=_number, count=None):
     """A YAML list as a tuple of ``item(x)``, ``count`` long if given."""
     if not isinstance(value, list) or count not in (None, len(value)):
         raise ValueError(f"expected a list of {count or 'any number of'} "
@@ -67,24 +76,24 @@ def _positions(value):
 #: rejected rather than silently ignored.
 _CONFIG = {
     "scenario": {
-        "f_hz": ("f", float),
-        "p_tx_dbm": ("tx_power", lambda v: 10.0 ** ((float(v) - 30) / 10)),
-        "g_bs_db": ("bs_gain", lambda v: db_to_linear(float(v))),
-        "g_ue_db": ("ue_gain", lambda v: db_to_linear(float(v))),
-        "nf_db": ("noise_figure", lambda v: db_to_linear(float(v))),
-        "t_k": ("temperature", float),
-        "b_hz": ("bandwidth", float),
+        "f_hz": ("f", _number),
+        "p_tx_dbm": ("tx_power", lambda v: 10.0 ** ((_number(v) - 30) / 10)),
+        "g_bs_db": ("bs_gain", lambda v: db_to_linear(_number(v))),
+        "g_ue_db": ("ue_gain", lambda v: db_to_linear(_number(v))),
+        "nf_db": ("noise_figure", lambda v: db_to_linear(_number(v))),
+        "t_k": ("temperature", _number),
+        "b_hz": ("bandwidth", _number),
         "p_bs_m": ("bs_position", _triple),
-        "t_s_s": ("sample_time", float),
+        "t_s_s": ("sample_time", _number),
         "l_samples": ("num_samples", _integer),
         "reflection_phases_deg": ("reflection_set", lambda v: tuple(
             np.exp(1j * 2 * np.pi * np.asarray(_list(v)) / 360.0))),
     },
     "layout": {
-        "cell_size_m": ("cell_dims", lambda v: (float(v),) * 2),
+        "cell_size_m": ("cell_dims", lambda v: (_number(v),) * 2),
         "tile_offsets_m": ("tile_offsets",
-                           lambda v: np.asarray(v, dtype=float)),
-        "cell_spacing_m": ("spacing", float),
+                           lambda v: np.array(_list(v, _list))),
+        "cell_spacing_m": ("spacing", _number),
     },
     "grid": {"az_deg": ("azimuth_deg", _triple),
              "el_deg": ("elevation_deg", _triple),
@@ -95,10 +104,10 @@ _CONFIG = {
         "variants": ("variants", lambda v: _list(v, str)),
         "truth_v_mps": ("truth_v", lambda v: np.array(_triple(v))),
         "line": {"x_points_m": ("x_points", _positions),
-                 "y_m": ("y_fixed", float), "z_m": ("z_fixed", float)},
-        "aoi": {"x_min_m": ("x_min", float), "x_max_m": ("x_max", float),
-                "y_min_m": ("y_min", float), "y_max_m": ("y_max", float),
-                "step_m": ("step", float), "z_m": ("z", float)},
+                 "y_m": ("y_fixed", _number), "z_m": ("z_fixed", _number)},
+        "aoi": {"x_min_m": ("x_min", _number), "x_max_m": ("x_max", _number),
+                "y_min_m": ("y_min", _number), "y_max_m": ("y_max", _number),
+                "step_m": ("step", _number), "z_m": ("z", _number)},
     },
 }
 

@@ -26,12 +26,14 @@ rescores in double precision only the candidates whose bound reaches the
 best score, so every winner is the grid's exact optimum. Sweeps cache
 the coarse tables per (grid, layout, BS position) and score many
 snapshots per pass; one-shot searches stream the table, score each block
-while it is in cache, and keep nothing. Fine tables are kept one at a
-time.
+while it is in cache, and keep nothing. Each kind of cached table has
+one slot that holds its latest table: the coarse near-field and the
+far-field direction slots are shared by all threads, and every thread has
+a fine slot of its own.
 """
 
 import threading
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
 from hashlib import sha1
 
@@ -63,8 +65,6 @@ _BOUND_SLACK_ROUNDOFFS = 2048
 
 #: Rows per block of every table: the builder's working set stays in cache.
 _BLOCK_ROWS = 2048
-
-_CACHE_BYTES_LIMIT = 2_400_000_000
 
 #: CF rounds before the 6D solve; README "Why CF runs only 3 rounds".
 CF_MAX_ITER = 3
@@ -316,35 +316,36 @@ _Table = namedtuple("_Table", "coords positions chunks dtype far_field "
                               "centre", defaults=(None,))
 
 
-class _TableCache:
-    """Built tables, least recently used first, bounded in bytes.
+class _TableSlot:
+    """The latest table built for one kind of search.
 
-    A miss evicts before it builds, so the bound also holds while the new
-    table is built; a bound of 0 keeps only the latest table.
+    A request for another key drops the held table before it builds the
+    new one under the slot's lock, so a slot never holds two tables.
     """
 
-    def __init__(self, limit):
-        self.limit = limit
-        self._tables = OrderedDict()
+    def __init__(self):
+        self._key = self._table = None
         self._lock = threading.Lock()
 
-    def get(self, key, nbytes, build):
+    def get(self, key, build):
         with self._lock:
-            if key in self._tables:
-                self._tables.move_to_end(key)
-                return self._tables[key][1]
-            held = sum(size for size, _ in self._tables.values())
-            while self._tables and held + nbytes > self.limit:
-                held -= self._tables.popitem(last=False)[1][0]
-            table = build()
-            self._tables[key] = (nbytes, table)
-            return table
+            if self._key != key:
+                self._key = self._table = None
+                self._table, self._key = build(), key
+            return self._table
 
 
-#: Coarse near-field and far-field tables, shared by sweep workers.
-_COARSE_TABLES = _TableCache(_CACHE_BYTES_LIMIT)
-#: Fine tables, one at a time: each serves the trials of one coarse cell.
-_FINE_TABLES = _TableCache(0)
+class _ThreadTableSlot(threading.local, _TableSlot):
+    """A :class:`_TableSlot` of each thread's own."""
+
+
+#: The coarse near-field table and the far-field direction table, shared
+#: by sweep workers.
+_NF_TABLES = _TableSlot()
+_FF_TABLES = _TableSlot()
+#: Fine tables, one per thread: each serves the trials of one coarse cell,
+#: which a sweep worker runs together.
+_FINE_TABLES = _ThreadTableSlot()
 
 
 def _table_chunks(points, ranges, model, dtype):
@@ -396,27 +397,24 @@ def _table_chunks(points, ranges, model, dtype):
         del re, im, rowsum
 
 
-def _table(model, num_rows, candidates, cache=None, key=None):
+def _table(model, candidates, slot=None, key=None):
     """The table of the candidates that ``candidates()`` returns as
-    (coords, positions, ranges): streamed if ``cache`` is None, else built
-    once per ``key`` and kept in ``cache``."""
-    dtype = np.float32 if num_rows * model.cell_centers.shape[0] \
-        > _SINGLE_PRECISION_THRESHOLD else np.float64
-
+    (coords, positions, ranges): streamed if ``slot`` is None, else built
+    once per ``key`` and kept in ``slot``."""
     def build(stream):
         coords, positions, ranges = candidates()
+        dtype = np.float32 if len(positions) * model.cell_centers.shape[0] \
+            > _SINGLE_PRECISION_THRESHOLD else np.float64
         blocks = _table_chunks(positions, ranges, model, dtype)
         return _Table(coords, positions, blocks if stream else list(blocks),
                       dtype, ranges is None)
 
-    if cache is None:
+    if slot is None:
         return build(stream=True)
     digest = sha1(np.ascontiguousarray(model.cell_centers).tobytes())
     digest.update(np.ascontiguousarray(model.bs_phase).tobytes())
-    nbytes = 2 * num_rows * model.cell_centers.shape[0] \
-        * np.dtype(dtype).itemsize
-    return cache.get(key + (round(model.wavelength, 15), digest.hexdigest()),
-                     nbytes, lambda: build(stream=False))
+    return slot.get(key + (round(model.wavelength, 15), digest.hexdigest()),
+                    lambda: build(stream=False))
 
 
 def _coords_to_positions(coords):
@@ -426,7 +424,7 @@ def _coords_to_positions(coords):
          np.sin(coords[:, 1])])
 
 
-def _nf_table(grid, model, cache):
+def _nf_table(grid, model, slot):
     """Candidates in row-major (az, el, r) order."""
     def candidates():
         az_deg, el_deg, r_m = grid.axis_values()
@@ -435,8 +433,7 @@ def _nf_table(grid, model, cache):
         coords = np.column_stack([aa.ravel(), ee.ravel(), rr.ravel()])
         return coords, _coords_to_positions(coords), coords[:, 2]
 
-    return _table(model, grid.num_candidates, candidates, cache,
-                  ("nf", grid))
+    return _table(model, candidates, slot, (grid,))
 
 
 def _direction_table(grid, model):
@@ -449,9 +446,8 @@ def _direction_table(grid, model):
         coords = np.column_stack([aa.ravel(), ee.ravel(), np.ones(aa.size)])
         return coords, _coords_to_positions(coords), None
 
-    return _table(model, len(az_deg) * len(el_deg), candidates,
-                  _COARSE_TABLES,
-                  ("ff", grid.azimuth_deg, grid.elevation_deg))
+    return _table(model, candidates, _FF_TABLES,
+                  (grid.azimuth_deg, grid.elevation_deg))
 
 
 def _check_entries(entries):
@@ -672,8 +668,7 @@ def nf_grid_search_batch(entries, grid, cache=True):
     ``harness._GROUP_MODELS`` models per call.
     """
     _check_entries(entries)
-    table = _nf_table(grid, entries[0][0],
-                      _COARSE_TABLES if cache else None)
+    table = _nf_table(grid, entries[0][0], _NF_TABLES if cache else None)
     return _search(table, entries)
 
 
@@ -713,9 +708,10 @@ def fine_grid_spec(coarse):
 def nf_fine_grid_search(y, model, coarse):
     """Fine near-field search centered on the coarse estimate.
 
-    The table is kept until a search around another cell replaces it, so
-    callers should run the searches of one coarse cell together. Its bound
-    basis is fitted at the coarse estimate.
+    Each thread keeps its latest fine table until one of its own searches
+    around another cell replaces it, so a sweep worker should run the
+    searches of one coarse cell together. Its bound basis is fitted at the
+    coarse estimate.
     """
     table = _nf_table(fine_grid_spec(coarse), model, _FINE_TABLES)
     return _search(table._replace(centre=spherical_to_cartesian(coarse)),
@@ -740,7 +736,7 @@ def ff_grid_search(y, model, grid):
                                   np.full_like(r_axis, el), r_axis])
         return coords, _coords_to_positions(coords), r_axis
 
-    return _search(_table(model, len(r_axis), range_line), entries)[0][0]
+    return _search(_table(model, range_line), entries)[0][0]
 
 
 # ---------------------------------------------------------------------------

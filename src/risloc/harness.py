@@ -316,8 +316,9 @@ def _sweep_traces(config, points):
     if config.threads <= 1:
         results = list(map(run, groups))
     else:
-        # Workers share the cached grid table: the first search builds it
-        # under the cache lock while the others wait for it.
+        # Workers share the coarse and far-field tables: the first search
+        # builds each under its slot's lock while the others wait for it.
+        # Each worker keeps its own fine table.
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             results = list(pool.map(run, groups))
     return [res for group in results for res in group]

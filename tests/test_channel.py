@@ -4,7 +4,8 @@ import pytest
 from risloc.channel import (DEFAULT_UE_VELOCITY, Scenario,
                             _channel_coefficients, _combined_pattern_all,
                             db_to_linear, default_scenario, draw_codebook,
-                            generate_snapshot, noise_power, save_snapshot)
+                            generate_snapshot, noise_power, save_snapshot,
+                            scenario_hash)
 from risloc.errors import GeometryError
 from risloc.geometry import RisLayout
 
@@ -268,6 +269,15 @@ class TestSnapshotIo:
                            snap.truth_v)
         assert np.allclose(snr, snap.snr_per_sample, rtol=1e-11)
         assert int(header["seed"][0]) == 21
+
+    def test_scenario_hash_tells_noiseless_apart(self, scenario):
+        # The default scenario keeps its fingerprint; a noiseless copy, or
+        # any other set noise power, gets its own.
+        assert scenario_hash(scenario) == "a0ed756bec425db0"
+        hashes = {scenario_hash(s) for s in (
+            scenario, scenario.noiseless(),
+            default_scenario(noise_power_override=1e-12))}
+        assert len(hashes) == 3
 
 
 class TestScenarioValidation:

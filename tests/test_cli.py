@@ -353,7 +353,24 @@ class TestConfigTable:
         ("sweep-aoi", "experiment:\n  variants: [gs-nf, gs-nf]\n",
          "invalid experiment:"),
         ("sweep-aoi --variant gs-nf --variant gs-nf", "{}\n",
-         "invalid experiment:")])
+         "invalid experiment:"),
+        # YAML booleans are not numbers, though float(True) is 1.0, and
+        # non-finite values crashed after the output directory was made.
+        ("single", "grid:\n  r_m: [0.1, .inf, 0.2]\n", "invalid grid.r_m:"),
+        ("sweep-aoi", "experiment:\n  aoi:\n    x_max_m: .nan\n",
+         "invalid experiment.aoi.x_max_m:"),
+        ("single", "experiment:\n  runs: true\n", "invalid experiment.runs:"),
+        ("single", "scenario:\n  l_samples: true\n",
+         "invalid scenario.l_samples:"),
+        ("single", "experiment:\n  aoi:\n    step_m: true\n",
+         "invalid experiment.aoi.step_m:"),
+        ("single", "scenario:\n  g_bs_db: false\n",
+         "invalid scenario.g_bs_db:"),
+        ("single", "grid:\n  r_m: [true, 3.9, 0.2]\n", "invalid grid.r_m:"),
+        ("single", "scenario:\n  reflection_phases_deg: [0, true]\n",
+         "invalid scenario.reflection_phases_deg:"),
+        ("single", "layout:\n  tile_offsets_m: [[true, 0], [0, 0.2], "
+         "[0.2, 0], [0.2, 0.2]]\n", "invalid layout.tile_offsets_m:")])
     def test_malformed_value_exits_2(self, command, text, named, tmp_path,
                                      capsys):
         path = tmp_path / "bad.yaml"

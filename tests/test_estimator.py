@@ -402,8 +402,7 @@ class TestBoundRescore:
         from risloc import estimator
         grid = GridSpec(azimuth_deg=(-30, 30, 1), elevation_deg=(-30, 30, 1),
                         range_m=(0.1, 3.9, 0.2))
-        table = estimator._nf_table(grid, model,
-                                    estimator._TableCache(np.inf))
+        table = estimator._nf_table(grid, model, estimator._TableSlot())
         assert table.dtype == np.float32 and len(table.chunks) == 37
         rng = np.random.default_rng(21)
         entries = []
@@ -510,16 +509,15 @@ class TestTableBlocks:
         monkeypatch.setattr(estimator, "_SINGLE_PRECISION_THRESHOLD",
                             0 if dtype == np.float32 else np.inf)
 
-        def planes(cache):
+        def planes(slot):
             table = estimator._table(
-                model, len(points), lambda: (None, points, ranges), cache,
-                ("blocks",))
+                model, lambda: (None, points, ranges), slot, ("blocks",))
             assert table.dtype == dtype
             chunks = list(table.chunks)
             return len(chunks), [np.concatenate(c) for c in zip(*chunks)]
 
         streamed = planes(None)
-        cached = planes(estimator._TableCache(np.inf))
+        cached = planes(estimator._TableSlot())
         monkeypatch.setattr(estimator, "_BLOCK_ROWS", len(points))
         reference = planes(None)
         # 5000 rows: two full blocks and a short one, streamed or cached.
@@ -595,8 +593,8 @@ class TestFineGridSearch:
 
 
     def test_shared_fine_slot_under_threads(self):
-        # Threads searching around different cells replace each other's
-        # fine table; every result must still equal the serial one.
+        # Threads searching around different cells each keep a fine table
+        # of their own; every result must still equal the serial one.
         import sys
         from concurrent.futures import ThreadPoolExecutor
         model, _, _ = toy_model(num_cells=5, num_samples=4, seed=2)
@@ -616,6 +614,56 @@ class TestFineGridSearch:
         finally:
             sys.setswitchinterval(old)
         assert got == serial + serial
+
+    def test_fine_table_per_thread(self, monkeypatch):
+        # Thread A searches around cell a, thread B around cell b, then A
+        # around a again: A still holds a's table, so only two are built.
+        import threading
+        model, _, _ = toy_model(num_cells=5, num_samples=4, seed=3)
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        cell_a = SphericalCoord(np.deg2rad(5.0), np.deg2rad(-10.0), 1.5)
+        cell_b = SphericalCoord(np.deg2rad(-8.0), np.deg2rad(4.0), 2.1)
+        builds = []
+        build = estimator._table_chunks
+
+        def counting_build(points, ranges, model, dtype):
+            # Rescoring rebuilds at most _BLOCK_ROWS candidates at a time.
+            if len(points) > estimator._BLOCK_ROWS:
+                builds.append(len(points))
+            return build(points, ranges, model, dtype)
+
+        monkeypatch.setattr(estimator, "_table_chunks", counting_build)
+        a_done, b_done = threading.Event(), threading.Event()
+        got, errors = {}, []
+
+        def thread_a():
+            try:
+                got["a1"] = nf_fine_grid_search(y, model, cell_a)
+                a_done.set()
+                assert b_done.wait(timeout=120)
+                got["a2"] = nf_fine_grid_search(y, model, cell_a)
+            except Exception as exc:
+                errors.append(exc)
+                a_done.set()
+
+        def thread_b():
+            try:
+                assert a_done.wait(timeout=120)
+                got["b"] = nf_fine_grid_search(y, model, cell_b)
+            except Exception as exc:
+                errors.append(exc)
+            finally:
+                b_done.set()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert got["a2"] == got["a1"]
+        assert len(builds) == 2, builds
 
 
 class TestFfGridSearch:

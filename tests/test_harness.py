@@ -202,10 +202,9 @@ class TestFineTables:
             return build(points, ranges, model, dtype)
 
         monkeypatch.setattr(estimator, "_table_chunks", counting_build)
-        monkeypatch.setattr(estimator, "_COARSE_TABLES",
-                            estimator._TableCache(estimator._CACHE_BYTES_LIMIT))
+        monkeypatch.setattr(estimator, "_NF_TABLES", estimator._TableSlot())
         monkeypatch.setattr(estimator, "_FINE_TABLES",
-                            estimator._TableCache(0))
+                            estimator._ThreadTableSlot())
         cfg = ExperimentConfig(scenario=scenario, layout=layout,
                                grid=small_grid(), runs=3, seed_base=5,
                                variants=("gs-nf-fine", "noap", "gs-nf"))
