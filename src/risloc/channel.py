@@ -7,7 +7,7 @@ Gaussian receiver noise.
 """
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,6 +53,11 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "bs_position",
                            np.asarray(self.bs_position, dtype=float))
+        p_bs = self.bs_position
+        if not (p_bs.shape == (3,) and np.all(np.isfinite(p_bs))
+                and p_bs[0] > 0):
+            raise ValueError("the BS position must be a finite 3-vector "
+                             "in front of the array (x > 0)")
         if not self.f > 0:
             raise ValueError("center frequency must be positive")
         if not self.tx_power > 0:
@@ -95,14 +100,6 @@ class Codebook:
     """Known M x L schedule of per-cell reflection coefficients."""
 
     gamma: np.ndarray
-
-    @property
-    def num_cells(self):
-        return self.gamma.shape[0]
-
-    @property
-    def num_samples(self):
-        return self.gamma.shape[1]
 
 
 def draw_codebook(num_cells, num_samples, reflection_set, seed):
@@ -149,8 +146,8 @@ def _pattern_cosines(positions, layout, scenario):
     q = layout.cell_centers
     p_bs = scenario.bs_position
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    if np.any(pos[:, 0] <= 0) or p_bs[0] <= 0:
-        raise GeometryError("UE and BS must be on the front side (x > 0)")
+    if np.any(pos[:, 0] <= 0):
+        raise GeometryError("UE must be on the front side (x > 0)")
 
     nq = np.linalg.norm(q, axis=1)
     d_bs = np.linalg.norm(p_bs[None, :] - q, axis=1)
@@ -232,18 +229,18 @@ def generate_snapshot(p, v, layout, codebook, scenario, noise_seed,
 
 
 def scenario_hash(scenario):
-    """Short deterministic fingerprint of the scenario parameters."""
-    parts = [f"{scenario.f:.12g}", f"{scenario.tx_power:.12g}",
-             f"{scenario.bs_gain:.12g}", f"{scenario.ue_gain:.12g}",
-             f"{scenario.noise_figure:.12g}", f"{scenario.temperature:.12g}",
-             f"{scenario.bandwidth:.12g}",
-             " ".join(f"{x:.12g}" for x in scenario.bs_position),
-             f"{scenario.sample_time:.12g}", str(scenario.num_samples),
-             " ".join(f"{z.real:.12g}{z.imag:+.12g}j"
-                      for z in np.asarray(scenario.reflection_set))]
-    # Only when set, so that a scenario without it keeps its fingerprint.
-    if scenario.noise_power_override is not None:
-        parts.append(f"{scenario.noise_power_override:.12g}")
+    """Short deterministic fingerprint of the scenario parameters: every
+    field in declaration order, each number to 12 significant digits. A
+    field left at None is skipped, so adding an optional field keeps the
+    fingerprints of scenarios that do not set it."""
+    def text(x):
+        if np.iscomplexobj(x):
+            return f"{x.real:.12g}{x.imag:+.12g}j"
+        return f"{x:.12g}"
+
+    values = (getattr(scenario, f.name) for f in fields(scenario))
+    parts = [" ".join(map(text, np.ravel(value)))
+             for value in values if value is not None]
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 

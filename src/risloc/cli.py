@@ -227,23 +227,22 @@ def build_experiment(cfg, args):
                   **({} if threads is None else {"threads": threads}))
 
 
-def atomic_write(path, text):
+def atomic_write(path, lines):
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n")
     os.replace(tmp, path)
 
 
-def write_manifest(out_dir, cfg, args, config, command, elapsed):
+def write_manifest(out_dir, cfg, args, config, elapsed):
     lines = [
         f"config_hash {config_hash(effective_config(cfg, args))}",
         f"seed_base {config.seed_base}",
-        f"command {command}",
+        f"command {args.command}",
         f"tool_version {__version__}",
         f"elapsed_s {elapsed:.3f}",
     ]
-    atomic_write(os.path.join(out_dir, "manifest.txt"),
-                 "\n".join(lines) + "\n")
+    atomic_write(os.path.join(out_dir, "manifest.txt"), lines)
 
 
 def write_trace(trace, path):
@@ -254,26 +253,33 @@ def write_trace(trace, path):
             + [f"{x:.12g}" for x in rec.v] \
             + [f"{rec.cost:.12g}", str(rec.iterations)]
         lines.append(" ".join(fields))
-    atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, lines)
 
 
-def cmd_single(args):
-    cfg = load_config(args.config)
-    config = build_experiment(cfg, args)
+def check_single(args, config):
+    """Reject a trial ``single`` cannot run: more than one variant, a
+    non-finite truth position, or a truth trajectory p + l*T*v (l < L)
+    that leaves x > 0; the motion is linear, so its two ends decide."""
     if len(config.variants) != 1:
         raise ConfigError(
             f"single runs one variant; experiment.variants lists "
             f"{len(config.variants)} (choose one with --variant)")
     truth_p = np.asarray(args.truth_p, dtype=float)
-    if truth_p[0] <= 0:
-        raise GeometryError("truth position must be in the front "
+    if not np.all(np.isfinite(truth_p)):
+        raise ConfigError(f"--truth-p must be finite, got {args.truth_p}")
+    scenario = config.scenario
+    x_end = truth_p[0] + (scenario.num_samples - 1) \
+        * scenario.sample_time * config.truth_v[0]
+    if min(truth_p[0], x_end) <= 0:
+        raise GeometryError("truth trajectory must stay in the front "
                             "half-space (x > 0)")
+
+
+def cmd_single(args, cfg, config):
+    truth_p = np.asarray(args.truth_p, dtype=float)
     variant, = config.variants
     use_pattern = VARIANTS[variant].use_pattern \
         and not args.no_antenna_pattern
-
-    start = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
     model, snaps = draw_trial(config, truth_p, 0, 0, (use_pattern,))
     snap = snaps[use_pattern]
     save_snapshot(snap, config.scenario,
@@ -282,8 +288,6 @@ def cmd_single(args):
     # caching the 1.6 GB one a sweep shares.
     trace = estimate(snap.y, model, config.estimator_config(variant))
     write_trace(trace, os.path.join(args.out, "trace.txt"))
-    write_manifest(args.out, cfg, args, config, "single",
-                   time.perf_counter() - start)
     if trace.failures:
         for stage, exc in trace.failures:
             print(f"stage {stage} failed: {exc}", file=sys.stderr)
@@ -294,46 +298,29 @@ def cmd_single(args):
     return EXIT_OK
 
 
-def cmd_sweep_aoi(args):
-    cfg = load_config(args.config)
-    config = build_experiment(cfg, args)
-    start = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
-    results = aoi_sweep(config)
+def cmd_sweep_aoi(args, cfg, config):
     lines = ["# x_m y_m variant rmspe_m rmsve_mps mean_snr_db runs skipped "
              "in_coverage"]
-    for cell in results:
+    for cell in aoi_sweep(config):
         for variant in config.variants:
             lines.append(
                 f"{cell.truth_p[0]:.9g} {cell.truth_p[1]:.9g} {variant} "
                 f"{cell.rmspe[variant]:.9g} {cell.rmsve[variant]:.9g} "
                 f"{cell.mean_snr_db:.9g} {cell.run_count} "
                 f"{cell.skipped[variant]} {int(cell.in_coverage)}")
-    atomic_write(os.path.join(args.out, "aoi_results.txt"),
-                 "\n".join(lines) + "\n")
-    write_manifest(args.out, cfg, args, config, "sweep-aoi",
-                   time.perf_counter() - start)
+    atomic_write(os.path.join(args.out, "aoi_results.txt"), lines)
     return EXIT_OK
 
 
-def cmd_sweep_line(args):
-    cfg = load_config(args.config)
-    config = build_experiment(cfg, args)
-    line = build_line(cfg)
-    start = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
-    results = line_sweep(config, **line)
-    rows = line_table(results, config.truth_v)
+def cmd_sweep_line(args, cfg, config):
+    results = line_sweep(config, **build_line(cfg))
     lines = ["# d_r_m variant stage label rmspe_m rmsve_mps runs skipped"]
-    for row in rows:
+    for row in line_table(results, config.truth_v):
         lines.append(
             f"{row['d_r']:.9g} {row['variant']} {row['stage']} "
             f"{row['label']} {row['rmspe_m']:.9g} {row['rmsve_mps']:.9g} "
             f"{row['runs']} {row['skipped']}")
-    atomic_write(os.path.join(args.out, "line_results.txt"),
-                 "\n".join(lines) + "\n")
-    write_manifest(args.out, cfg, args, config, "sweep-line",
-                   time.perf_counter() - start)
+    atomic_write(os.path.join(args.out, "line_results.txt"), lines)
     return EXIT_OK
 
 
@@ -389,9 +376,20 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command: build and check the whole run, then make the
+    output directory; the manifest is written last, if nothing raised."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        config = build_experiment(cfg, args)
+        if args.command == "single":
+            check_single(args, config)
+        start = time.perf_counter()
+        os.makedirs(args.out, exist_ok=True)
+        code = args.func(args, cfg, config)
+        write_manifest(args.out, cfg, args, config,
+                       time.perf_counter() - start)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

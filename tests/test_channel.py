@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -279,8 +281,28 @@ class TestSnapshotIo:
             default_scenario(noise_power_override=1e-12))}
         assert len(hashes) == 3
 
+    def test_scenario_hash_reads_every_field(self, scenario):
+        moved = {"f": 28e9, "tx_power": 0.2, "bs_gain": 50.0,
+                 "ue_gain": 2.0, "noise_figure": 3.0, "temperature": 300.0,
+                 "bandwidth": 2e6, "bs_position": np.array([1.0, -3.0, 2.5]),
+                 "sample_time": 2e-4, "num_samples": 41,
+                 "reflection_set": (1j, -1j), "noise_power_override": 0.0}
+        assert moved.keys() == {f.name for f in
+                                dataclasses.fields(Scenario)}
+        hashes = {scenario_hash(default_scenario(**{name: value}))
+                  for name, value in moved.items()}
+        assert len(hashes) == len(moved)
+        assert scenario_hash(scenario) not in hashes
+
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize("p_bs", [[-1.0, -3.0, 3.0], [0.0, 1.0, 1.0],
+                                      [np.nan, 0.0, 1.0], [1.0, np.inf, 0.0],
+                                      [1.0, 2.0]])
+    def test_bs_behind_array_or_not_finite_rejected(self, p_bs):
+        with pytest.raises(ValueError, match="BS position"):
+            Scenario(bs_position=p_bs)
+
     def test_non_unit_reflection_rejected(self):
         with pytest.raises(ValueError):
             Scenario(reflection_set=(0.5, 1.0))

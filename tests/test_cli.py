@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import risloc
-from risloc.cli import (EXIT_CONFIG, EXIT_GEOMETRY, EXIT_OK, build_experiment,
-                        build_grid, build_parser, build_scenario, config_hash,
-                        effective_config, load_config, main, write_trace)
-from risloc.errors import ConfigError
+from risloc import cli
+from risloc.cli import (EXIT_CONFIG, EXIT_GEOMETRY, EXIT_INTERNAL, EXIT_OK,
+                        build_experiment, build_grid, build_parser,
+                        build_scenario, config_hash, effective_config,
+                        load_config, main, write_trace)
+from risloc.errors import ConfigError, RislocError
 from risloc.harness import ExperimentConfig, _group_traces
 
 FAST_CONFIG = """
@@ -96,6 +98,23 @@ class TestCliExitCodes:
                    "--out", str(tmp_path / "out"),
                    "--truth-p", "-2", "0", "-0.5"])
         assert rc == EXIT_GEOMETRY
+
+    @pytest.mark.parametrize("flags, code, named", [
+        (["--truth-p", "nan", "0", "-0.5"], EXIT_CONFIG, "must be finite"),
+        (["--truth-p", "inf", "0", "-0.5"], EXIT_CONFIG, "must be finite"),
+        (["--truth-p", "2", "nan", "-0.5"], EXIT_CONFIG, "must be finite"),
+        # In front of the array at l = 0, behind it by l = L - 1.
+        (["--variant", "gs-nf", "--truth-p", "0.02", "0", "-0.5",
+          "--truth-v", "-10", "0", "0"], EXIT_GEOMETRY,
+         "truth trajectory must stay in the front half-space")])
+    def test_single_rejects_truth_it_cannot_honour(self, flags, code, named,
+                                                   cfg_path, tmp_path,
+                                                   capsys):
+        rc = main(["single", "--config", cfg_path,
+                   "--out", str(tmp_path / "out"), *flags])
+        assert rc == code
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, named", [
         ("scenario:\n  f_Hz: 28.0e9\n", "unknown config key: scenario.f_Hz"),
@@ -274,6 +293,50 @@ class TestSingle:
             (tmp_path / "sweep_trace.txt").read_bytes()
 
 
+class TestRunPath:
+    @pytest.mark.parametrize("command", ["single", "sweep-aoi",
+                                         "sweep-line"])
+    def test_manifest_names_command(self, command, cfg_path, tmp_path):
+        out = tmp_path / "out"
+        flags = ["--truth-p", "2", "0", "-0.5"] if command == "single" \
+            else ["--runs", "1"]
+        assert main([command, "--config", cfg_path, "--out", str(out),
+                     *flags]) == EXIT_OK
+        manifest = dict(ln.split(None, 1) for ln in
+                        (out / "manifest.txt").read_text().splitlines())
+        assert manifest["command"] == command
+
+    def test_command_that_raises_writes_no_manifest(self, cfg_path,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        def fail(config):
+            raise RislocError("sweep failed")
+
+        monkeypatch.setattr(cli, "aoi_sweep", fail)
+        out = tmp_path / "out"
+        assert main(["sweep-aoi", "--config", cfg_path,
+                     "--out", str(out)]) == EXIT_INTERNAL
+        assert "sweep failed" in capsys.readouterr().err
+        assert out.is_dir() and not (out / "manifest.txt").exists()
+
+    def test_failed_stage_writes_trace_and_manifest(self, cfg_path, tmp_path,
+                                                    monkeypatch, capsys):
+        estimate = cli.estimate
+
+        def failing(*args, **kwargs):
+            trace = estimate(*args, **kwargs)
+            trace.failures.append(("6D", RislocError("no descent")))
+            return trace
+
+        monkeypatch.setattr(cli, "estimate", failing)
+        out = tmp_path / "out"
+        assert main(["single", "--config", cfg_path, "--out", str(out),
+                     "--truth-p", "2", "0", "-0.5"]) == EXIT_INTERNAL
+        assert "stage 6D failed: no descent" in capsys.readouterr().err
+        for name in ("snapshot.txt", "trace.txt", "manifest.txt"):
+            assert (out / name).is_file()
+
+
 class TestSweeps:
     def test_line_sweep_table(self, cfg_path, tmp_path):
         out = tmp_path / "line"
@@ -324,6 +387,7 @@ class TestConfigTable:
         ("single", "experiment:\n  truth_v_mps: [1, 2]\n",
          "invalid experiment.truth_v_mps:"),
         ("single", "scenario:\n  p_bs_m: [1, 2]\n", "invalid scenario.p_bs_m:"),
+        ("single", "scenario:\n  p_bs_m: [-1, -3, 3]\n", "invalid scenario:"),
         ("sweep-line", "experiment:\n  line:\n    x_points_m: abc\n",
          "invalid experiment.line.x_points_m:"),
         ("single", "scenario:\n  l_samples: 4.7\n",
