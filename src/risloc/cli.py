@@ -111,11 +111,6 @@ _CONFIG = {
     },
 }
 
-#: The line sweep's reference points, which no object holds.
-_LINE_DEFAULTS = {"x_points": (0.62, 1.1, 1.55, 1.94, 2.4), "y_fixed": 0.0,
-                  "z_fixed": -0.5}
-
-
 def load_config(path):
     """Load a YAML config file and reject keys the code does not read."""
     if not os.path.isfile(path):
@@ -208,8 +203,9 @@ def build_grid(cfg):
 
 
 def build_line(cfg):
-    """The line sweep's points, as keyword arguments of ``line_sweep``."""
-    return _build(dict, cfg, "experiment.line", **_LINE_DEFAULTS)
+    """The keyword arguments of ``line_sweep`` that the config sets; the
+    rest keep ``line_sweep``'s defaults."""
+    return _build(dict, cfg, "experiment.line")
 
 
 def build_experiment(cfg, args):
@@ -385,7 +381,11 @@ def main(argv=None):
         if args.command == "single":
             check_single(args, config)
         start = time.perf_counter()
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {args.out}: "
+                              f"{exc.strerror or exc}") from exc
         code = args.func(args, cfg, config)
         write_manifest(args.out, cfg, args, config,
                        time.perf_counter() - start)

@@ -13,23 +13,26 @@ as a warm start, and a final joint 6D variable-projection
 Levenberg-Marquardt solve.
 
 All grid searches (coarse and fine near-field, far-field directions and
-the far-field range line) share one table builder and one scorer. The
-builder yields every table exp(j phi_nm) b_m in the same cache-sized
-blocks of real re/im planes, with the hypothesized RIS-UE phase phi and
-the known BS phase b folded in. The reflection set has exactly two
-values, so the codebook is an offset plus a +/-1 sign matrix up to a
-common factor, which the projection cost ignores. The scorer bounds
-every candidate's score from above with a few real GEMMs against a
-K-direction basis that spans the snapshots (and, for a fine search, the
-response and its position Jacobian at the coarse estimate), then
-rescores in double precision only the candidates whose bound reaches the
-best score, so every winner is the grid's exact optimum. Sweeps cache
-the coarse tables per (grid, layout, BS position) and score many
-snapshots per pass; one-shot searches stream the table, score each block
-while it is in cache, and keep nothing. Each kind of cached table has
-one slot that holds its latest table: the coarse near-field and the
-far-field direction slots are shared by all threads, and every thread has
-a fine slot of its own.
+the far-field range line) share one candidate builder, one table builder
+and one scorer. The candidate builder makes every search's candidates
+from its (azimuth, elevation, range) axes; a far-field direction grid
+has no range axis. The table builder yields every table exp(j phi_nm)
+b_m in the same cache-sized blocks of real re/im planes, with the
+hypothesized RIS-UE phase phi and the known BS phase b folded in. The
+reflection set has exactly two values, so the codebook is an offset plus
+a +/-1 sign matrix up to a common factor, which the projection cost
+ignores. The scorer bounds every candidate's score from above with a few
+real GEMMs against a K-direction basis that spans the snapshots (and,
+for a fine search, the response and its position Jacobian at the coarse
+estimate), then rescores in double precision only the candidates whose
+bound reaches the best score, so every winner is the grid's exact
+optimum. Sweeps cache the coarse tables and score many snapshots per
+pass; one-shot searches stream the table, score each block while it is
+in cache, and keep nothing. Each kind of cached table has one slot that
+holds its latest table, keyed by the table's axes and the geometry (cell
+positions, BS phase, wavelength): the coarse near-field and the
+far-field direction slots are shared by all threads, and every thread
+has a fine slot of its own.
 """
 
 import threading
@@ -307,13 +310,11 @@ def projection_cost(y, h):
 # the real sign matrix S score it.
 
 
-#: Candidate coordinates (az rad, el rad, r m) and positions (m) plus the
-#: steering table as blocks of ``dtype`` from :func:`_table_chunks`: a list
-#: when cached, a generator when streamed. ``far_field`` tables hold unit
-#: directions without ranges. A fine search sets ``centre``, the position
-#: its bound basis is fitted at (see _bound_basis); elsewhere it is None.
-_Table = namedtuple("_Table", "coords positions chunks dtype far_field "
-                              "centre", defaults=(None,))
+#: Candidate coordinates (az rad, el rad, r m), positions (m) and ranges
+#: (m; None for a far-field table of unit directions) plus the steering
+#: table as blocks of ``dtype`` from :func:`_table_chunks`: a list when
+#: cached, a generator when streamed.
+_Table = namedtuple("_Table", "coords positions ranges chunks dtype")
 
 
 class _TableSlot:
@@ -397,57 +398,43 @@ def _table_chunks(points, ranges, model, dtype):
         del re, im, rowsum
 
 
-def _table(model, candidates, slot=None, key=None):
-    """The table of the candidates that ``candidates()`` returns as
-    (coords, positions, ranges): streamed if ``slot`` is None, else built
-    once per ``key`` and kept in ``slot``."""
+def _table(model, az, el, r, slot=None):
+    """The table of every candidate on the axes ``az``, ``el`` (rad) and
+    ``r`` (m), in row-major (az, el, r) order; ``r`` None gives unit
+    directions (far field). Streamed if ``slot`` is None, else kept in
+    ``slot``, keyed by the axes and the geometry."""
+    axes = [None if ax is None else np.asarray(ax, dtype=float)
+            for ax in (az, el, r)]
+
     def build(stream):
-        coords, positions, ranges = candidates()
+        grids = np.meshgrid(*(1.0 if ax is None else ax for ax in axes),
+                            indexing="ij")
+        coords = np.column_stack([g.ravel() for g in grids])
+        ce = np.cos(coords[:, 1])
+        positions = coords[:, 2:3] * np.column_stack(
+            [ce * np.cos(coords[:, 0]), ce * np.sin(coords[:, 0]),
+             np.sin(coords[:, 1])])
+        ranges = None if r is None else coords[:, 2]
         dtype = np.float32 if len(positions) * model.cell_centers.shape[0] \
             > _SINGLE_PRECISION_THRESHOLD else np.float64
         blocks = _table_chunks(positions, ranges, model, dtype)
-        return _Table(coords, positions, blocks if stream else list(blocks),
-                      dtype, ranges is None)
+        return _Table(coords, positions, ranges,
+                      blocks if stream else list(blocks), dtype)
 
     if slot is None:
         return build(stream=True)
     digest = sha1(np.ascontiguousarray(model.cell_centers).tobytes())
     digest.update(np.ascontiguousarray(model.bs_phase).tobytes())
+    # Each axis is its own item: axes of other lengths can join to the
+    # same bytes.
+    key = tuple(None if ax is None else ax.tobytes() for ax in axes)
     return slot.get(key + (round(model.wavelength, 15), digest.hexdigest()),
                     lambda: build(stream=False))
 
 
-def _coords_to_positions(coords):
-    ce = np.cos(coords[:, 1])
-    return coords[:, 2:3] * np.column_stack(
-        [ce * np.cos(coords[:, 0]), ce * np.sin(coords[:, 0]),
-         np.sin(coords[:, 1])])
-
-
 def _nf_table(grid, model, slot):
-    """Candidates in row-major (az, el, r) order."""
-    def candidates():
-        az_deg, el_deg, r_m = grid.axis_values()
-        aa, ee, rr = np.meshgrid(np.deg2rad(az_deg), np.deg2rad(el_deg),
-                                 r_m, indexing="ij")
-        coords = np.column_stack([aa.ravel(), ee.ravel(), rr.ravel()])
-        return coords, _coords_to_positions(coords), coords[:, 2]
-
-    return _table(model, candidates, slot, (grid,))
-
-
-def _direction_table(grid, model):
-    """Far-field table on the (azimuth, elevation) grid, range free."""
-    az_deg, el_deg, _ = grid.axis_values()
-
-    def candidates():
-        aa, ee = np.meshgrid(np.deg2rad(az_deg), np.deg2rad(el_deg),
-                             indexing="ij")
-        coords = np.column_stack([aa.ravel(), ee.ravel(), np.ones(aa.size)])
-        return coords, _coords_to_positions(coords), None
-
-    return _table(model, candidates, _FF_TABLES,
-                  (grid.azimuth_deg, grid.elevation_deg))
+    az, el, r = grid.axis_values()
+    return _table(model, np.deg2rad(az), np.deg2rad(el), r, slot)
 
 
 def _check_entries(entries):
@@ -597,9 +584,10 @@ class _BoundPass:
             if bound[block[0]] + self.slack[t, snap] < best:
                 break
             rows = idx[block]
-            ranges = None if table.far_field else table.coords[rows, 2]
             (re, im, rowsum), = _table_chunks(
-                table.positions[rows], ranges, model, np.float64)
+                table.positions[rows],
+                None if table.ranges is None else table.ranges[rows],
+                model, np.float64)
             h = re @ model.signs + 1j * (im @ model.signs) \
                 + rowsum[:, None] * model.offset
             del re, im              # before the next block is built
@@ -611,7 +599,7 @@ class _BoundPass:
         return best_i
 
 
-def _best_candidates(table, entries):
+def _best_candidates(table, entries, centre=None):
     """Score (model, snapshots) entries against a table.
 
     Returns the winning global candidate index per snapshot, grouped per
@@ -625,9 +613,10 @@ def _best_candidates(table, entries):
     real GEMMs of each block's planes with the stacked S Q of all models,
     plus the offset times the row sums, give every z. Pass 2 rescores the
     candidates whose bound reaches the best score (see
-    :class:`_BoundPass`).
+    :class:`_BoundPass`). A fine search passes the ``centre`` its bound
+    basis is fitted at (see :func:`_bound_basis`).
     """
-    bound_pass = _BoundPass(entries, table.dtype, table.centre)
+    bound_pass = _BoundPass(entries, table.dtype, centre)
     start = 0
     for re, im, rowsum in table.chunks:
         bound_pass.add_chunk(re, im, rowsum, start)
@@ -637,11 +626,12 @@ def _best_candidates(table, entries):
     return bound_pass.winners(table)
 
 
-def _search(table, entries):
+def _search(table, entries, centre=None):
     """Per entry, ``(SphericalCoord, cost)`` of each snapshot's winner, with
     the cost recomputed exactly in double precision."""
     out = []
-    for (model, ys), idxs in zip(entries, _best_candidates(table, entries)):
+    winners = _best_candidates(table, entries, centre)
+    for (model, ys), idxs in zip(entries, winners):
         row = []
         for y, i in zip(ys, idxs):
             az, el, r = table.coords[i]
@@ -714,8 +704,8 @@ def nf_fine_grid_search(y, model, coarse):
     coarse estimate.
     """
     table = _nf_table(fine_grid_spec(coarse), model, _FINE_TABLES)
-    return _search(table._replace(centre=spherical_to_cartesian(coarse)),
-                   [(model, [y])])[0][0]
+    return _search(table, [(model, [y])],
+                   spherical_to_cartesian(coarse))[0][0]
 
 
 def ff_grid_search(y, model, grid):
@@ -727,16 +717,10 @@ def ff_grid_search(y, model, grid):
     The range line is scored as one near-field table.
     """
     entries = [(model, [y])]
-    dirs = _direction_table(grid, model)
-    az, el, _ = dirs.coords[_best_candidates(dirs, entries)[0][0]]
-    r_axis = grid.axis_values()[2]
-
-    def range_line():
-        coords = np.column_stack([np.full_like(r_axis, az),
-                                  np.full_like(r_axis, el), r_axis])
-        return coords, _coords_to_positions(coords), r_axis
-
-    return _search(_table(model, range_line), entries)[0][0]
+    az, el, r = grid.axis_values()
+    dirs = _table(model, np.deg2rad(az), np.deg2rad(el), None, _FF_TABLES)
+    az0, el0, _ = dirs.coords[_best_candidates(dirs, entries)[0][0]]
+    return _search(_table(model, [az0], [el0], r), entries)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -181,16 +181,6 @@ def rms(errors):
     return float(np.sqrt(np.mean(arr ** 2)))
 
 
-def _trial_skipped(trace):
-    """A trial any of whose stages failed is left out of the RMS."""
-    return bool(trace.failures)
-
-
-def _skipped(traces):
-    """Skipped trials per variant."""
-    return {v: sum(map(_trial_skipped, tlist)) for v, tlist in traces.items()}
-
-
 def draw_trial(config, truth_p, point_index, run, patterns):
     """The seeded draw of run ``run`` at point ``point_index``.
 
@@ -274,7 +264,7 @@ def _group_traces(config, truth_ps, first_index):
 def _stage_rms(tlist, stage, truth_p, truth_v):
     """(rmspe, rmsve, runs) at ``stage`` over the trials of ``tlist`` that
     no stage failed in; NaN errors if there are none."""
-    kept = [t.stage_named(stage) for t in tlist if not _trial_skipped(t)]
+    kept = [t.stage_named(stage) for t in tlist if not t.failures]
     if not kept:
         return float("nan"), float("nan"), 0
     return (rms([np.linalg.norm(rec.p - truth_p) for rec in kept]),
@@ -284,14 +274,15 @@ def _stage_rms(tlist, stage, truth_p, truth_v):
 
 def _cell_from_traces(truth_p, traces, mean_snr, truth_v, in_coverage):
     """Cell of final-stage (6D) errors per variant."""
-    rmspe, rmsve = {}, {}
+    rmspe, rmsve, skipped = {}, {}, {}
     for variant, tlist in traces.items():
-        rmspe[variant], rmsve[variant], _ = _stage_rms(tlist, "6D", truth_p,
-                                                       truth_v)
+        rmspe[variant], rmsve[variant], runs = _stage_rms(
+            tlist, "6D", truth_p, truth_v)
+        skipped[variant] = len(tlist) - runs
     return CellResult(truth_p=truth_p, rmspe=rmspe, rmsve=rmsve,
                       mean_snr_db=mean_snr,
                       run_count=len(next(iter(traces.values()))),
-                      skipped=_skipped(traces), in_coverage=in_coverage)
+                      skipped=skipped, in_coverage=in_coverage)
 
 
 def _sweep_traces(config, points):
@@ -333,8 +324,10 @@ def aoi_sweep(config):
             in zip(points, _sweep_traces(config, points))]
 
 
-def line_sweep(config, y_fixed, z_fixed, x_points):
-    """Stage-wise errors along a line parallel to the x-axis.
+def line_sweep(config, y_fixed=0.0, z_fixed=-0.5,
+               x_points=(0.62, 1.1, 1.55, 1.94, 2.4)):
+    """Stage-wise errors along a line parallel to the x-axis; the
+    defaults are the reference line's points.
 
     Returns a list of PointResult ordered as ``x_points``; use
     :func:`line_table` for the flat per-stage RMS table.

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 import risloc
 from risloc import cli
@@ -115,6 +116,21 @@ class TestCliExitCodes:
         assert rc == code
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_unusable_out_exits_2(self, out, cfg_path, tmp_path, capsys,
+                                  monkeypatch):
+        # --out names a regular file, or a directory inside one.
+        (tmp_path / "afile").write_text("kept")
+        monkeypatch.setattr(cli, "cmd_single", lambda *a: pytest.fail(
+            "the command ran"))
+        out = str(tmp_path / out)
+        rc = main(["single", "--config", cfg_path, "--out", out,
+                   "--truth-p", "2", "0", "-0.5"])
+        assert rc == EXIT_CONFIG
+        assert f"cannot make output directory {out}" \
+            in capsys.readouterr().err
+        assert (tmp_path / "afile").read_text() == "kept"
 
     @pytest.mark.parametrize("text, named", [
         ("scenario:\n  f_Hz: 28.0e9\n", "unknown config key: scenario.f_Hz"),
@@ -354,6 +370,22 @@ class TestSweeps:
         d_r = [float(r[0]) for r in rows]
         assert d_r == sorted(d_r)
         assert d_r[0] == pytest.approx(np.hypot(1.0, 0.5), rel=1e-8)
+
+    def test_line_sweep_defaults_to_reference_points(self, tmp_path):
+        cfg = yaml.safe_load(FAST_CONFIG)
+        del cfg["experiment"]["line"]
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "line"
+        rc = main(["sweep-line", "--config", str(path), "--out", str(out),
+                   "--runs", "1"])
+        assert rc == EXIT_OK
+        d_r = [float(ln.split()[0]) for ln in
+               (out / "line_results.txt").read_text().splitlines()
+               if not ln.startswith("#")]
+        assert sorted(set(d_r)) == pytest.approx(
+            [np.hypot(x, 0.5) for x in (0.62, 1.1, 1.55, 1.94, 2.4)],
+            rel=1e-8)
 
     def test_aoi_sweep_rows_and_determinism(self, cfg_path, tmp_path):
         out_a = tmp_path / "a"

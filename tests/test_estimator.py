@@ -501,24 +501,22 @@ class TestTableBlocks:
     def test_chunks_equal_one_block(self, model, monkeypatch, far_field,
                                     dtype):
         from risloc import estimator
-        rng = np.random.default_rng(3)
-        points = rng.uniform([0.3, -1.0, -1.0], [2.0, 1.0, 1.0], (5000, 3))
-        ranges = np.linalg.norm(points, axis=1)
-        if far_field:
-            points, ranges = points / ranges[:, None], None
+        # 5000 candidates: 50 x 50 x 2 near field, 50 x 100 far field.
+        az = np.deg2rad(np.linspace(-40.0, 40.0, 50))
+        el = np.deg2rad(np.linspace(-40.0, 40.0, 100 if far_field else 50))
+        r = None if far_field else [0.8, 1.7]
         monkeypatch.setattr(estimator, "_SINGLE_PRECISION_THRESHOLD",
                             0 if dtype == np.float32 else np.inf)
 
         def planes(slot):
-            table = estimator._table(
-                model, lambda: (None, points, ranges), slot, ("blocks",))
+            table = estimator._table(model, az, el, r, slot)
             assert table.dtype == dtype
             chunks = list(table.chunks)
             return len(chunks), [np.concatenate(c) for c in zip(*chunks)]
 
         streamed = planes(None)
         cached = planes(estimator._TableSlot())
-        monkeypatch.setattr(estimator, "_BLOCK_ROWS", len(points))
+        monkeypatch.setattr(estimator, "_BLOCK_ROWS", 5000)
         reference = planes(None)
         # 5000 rows: two full blocks and a short one, streamed or cached.
         assert (streamed[0], cached[0]) == (3, 3)
@@ -546,6 +544,53 @@ class TestTableBlocks:
         # One float32 plane of 16,384 rows (16384 * 508 * 4 bytes); the
         # streamed search holds a 2,048-row block pair, a quarter of that.
         assert peak < 33_292_288
+
+
+class TestCandidates:
+    """One builder makes every search's candidates from its axes."""
+
+    AZ = np.deg2rad([-10.0, 0.0, 5.0])
+    EL = np.deg2rad([-20.0, 15.0])
+    R = np.array([0.5, 1.0, 2.5, 3.0])
+
+    @staticmethod
+    def assert_positions(table):
+        expected = [spherical_to_cartesian(SphericalCoord(*row))
+                    for row in table.coords]
+        assert np.array_equal(table.positions, expected)
+
+    def test_near_field_table_is_row_major(self, model):
+        table = estimator._table(model, self.AZ, self.EL, self.R)
+        assert np.array_equal(
+            table.coords, list(itertools.product(self.AZ, self.EL, self.R)))
+        assert np.array_equal(table.ranges, table.coords[:, 2])
+        self.assert_positions(table)
+
+    def test_direction_table_has_unit_ranges(self, model):
+        table = estimator._table(model, self.AZ, self.EL, None)
+        assert table.ranges is None
+        assert np.array_equal(
+            table.coords, list(itertools.product(self.AZ, self.EL, [1.0])))
+        self.assert_positions(table)
+
+    def test_range_line_has_one_row_per_range(self, model):
+        table = estimator._table(model, self.AZ[1:2], self.EL[:1], self.R)
+        assert np.array_equal(table.ranges, self.R)
+        assert np.array_equal(table.coords[:, :2],
+                              [[self.AZ[1], self.EL[0]]] * len(self.R))
+        self.assert_positions(table)
+
+    def test_slot_keeps_axes_of_other_lengths_apart(self, model):
+        # (az, el) of lengths (2, 1) and (1, 2) join to the same bytes.
+        slot = estimator._TableSlot()
+        first = estimator._table(model, self.AZ[:2], self.AZ[2:], self.R,
+                                 slot)
+        second = estimator._table(model, self.AZ[:1], self.AZ[1:], self.R,
+                                  slot)
+        assert second is not first
+        assert not np.array_equal(second.coords, first.coords)
+        assert estimator._table(model, self.AZ[:1], self.AZ[1:], self.R,
+                                slot) is second
 
 
 class TestGridSpec:
